@@ -188,6 +188,24 @@ def lloyd_angle_samples(data, p: int, tolerance: float, max_iters: int = 500,
     return (codes, hist) if return_history else codes
 
 
+def grid_locations(angle_samples, range_samples, flat):
+    """(theta, r) arrays behind flat indices of an angle x range grid.
+
+    Grid point (i, j) pairs angle sample i with range sample j and lives at
+    flat index i * len(range_samples) + j.
+    """
+    flat = np.asarray(flat)
+    nq = len(range_samples)
+    return np.asarray(angle_samples)[flat // nq], np.asarray(range_samples)[flat % nq]
+
+
+def grid_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
+                   stop: int) -> np.ndarray:
+    "(stop - start, M) codewords at flat grid indices start..stop-1, one steering call."
+    theta, r = grid_locations(angle_samples, range_samples, np.arange(start, stop))
+    return steering_matrix_exact(cfg, theta, r)
+
+
 @dataclass(frozen=True, eq=False)
 class PolarCodebook:
     """Cartesian product of angle and range samples, one steering codeword each.
@@ -212,33 +230,34 @@ class PolarCodebook:
     def flat_index(self, i: int, j: int) -> int:
         return i * len(self.range_samples) + j
 
+    def locations(self, flat) -> tuple[np.ndarray, np.ndarray]:
+        "The (theta, r) grid points behind an array of flat codeword indices."
+        return grid_locations(self.angle_samples, self.range_samples, flat)
+
     def location(self, flat: int) -> tuple[float, float]:
         "The (theta, r) grid point behind a flat codeword index."
-        nq = len(self.range_samples)
-        return float(self.angle_samples[flat // nq]), float(self.range_samples[flat % nq])
+        theta, r = self.locations(flat)
+        return float(theta), float(r)
 
     @property
     def codewords(self) -> np.ndarray:
         "Materialized (len, M) codeword array, built on first access."
         if self._cache[0] is None:
-            nq = len(self.range_samples)
-            th = np.repeat(self.angle_samples, nq)
-            rr = np.tile(self.range_samples, len(self.angle_samples))
-            self._cache[0] = steering_matrix_exact(self.cfg, th, rr)
+            self._cache[0] = grid_codewords(self.cfg, self.angle_samples,
+                                            self.range_samples, 0, len(self))
         return self._cache[0]
 
     def codeword(self, i: int, j: int) -> np.ndarray:
-        return steering_matrix_exact(self.cfg, self.angle_samples[i],
-                                     self.range_samples[j]).reshape(-1)
+        flat = self.flat_index(i, j)
+        return grid_codewords(self.cfg, self.angle_samples, self.range_samples,
+                              flat, flat + 1)[0]
 
     def save_csv(self, path: str | Path) -> None:
         "Write `index,theta,range_m` rows; infinite ranges serialize as `inf`."
-        nq = len(self.range_samples)
+        thetas, ranges = self.locations(np.arange(len(self)))
         with open(path, "w", newline="") as fh:
             fh.write("index,theta,range_m\n")
-            for flat in range(len(self)):
-                th = float(self.angle_samples[flat // nq])
-                rr = float(self.range_samples[flat % nq])
+            for flat, (th, rr) in enumerate(zip(thetas.tolist(), ranges.tolist())):
                 fh.write(f"{flat},{th!r},{rr!r}\n")
 
     def save_binary(self, path: str | Path) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,9 @@ from .feedback import MAX_ZF_CONDITION, RVQCodebook, best_codeword_scan, rvq_gen
 from . import gain_theory
 
 EXPERIMENTS = ("rate_vs_snr", "gain_vs_q", "gain_vs_m", "gain_vs_rmax", "multipath_gain_vs_q")
+
+_INTEGER_SWEEPS = ("gain_vs_q", "gain_vs_m", "multipath_gain_vs_q")
+"Experiments whose sweep values are bit counts or antenna counts."
 
 CSV_HEADER = "sweep_value,scheme,metric,mean,stderr,n_trials,seed"
 
@@ -149,6 +152,8 @@ def validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("n_trials must be >= 1")
     if c.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if c.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if c.k_users < 1 or c.l_paths < 1:
         raise ConfigError("k_users and l_paths must be >= 1")
     try:
@@ -162,6 +167,8 @@ def validate_config(c: ExperimentConfig) -> None:
         raise ConfigError(f"unknown schemes: {bad}")
     if c.sweep and list(c.sweep) != sorted(set(c.sweep)):
         raise ConfigError("sweep values must be strictly increasing")
+    if c.experiment in _INTEGER_SWEEPS and not all(float(v).is_integer() for v in c.sweep):
+        raise ConfigError(f"{c.experiment} sweeps integers; got {list(c.sweep)}")
     if c.experiment != "rate_vs_snr" and "full_csi" in c.schemes:
         raise ConfigError("full_csi only applies to rate experiments")
 
@@ -237,8 +244,7 @@ def _batched_beamformers(c: ExperimentConfig, vectors: np.ndarray, coords: np.nd
     else:
         flat = vectors.reshape(n_trials * k_users, m)
         _, idx = best_codeword_scan(cfg, flat, cb1.angle_samples, cb1.range_samples)
-        locs = np.array([cb1.location(i) for i in idx])
-        f_rf = steering_matrix_exact(cfg, locs[:, 0], locs[:, 1]).reshape(n_trials, k_users, m)
+        f_rf = steering_matrix_exact(cfg, *cb1.locations(idx)).reshape(n_trials, k_users, m)
     f_rf = np.swapaxes(f_rf, 1, 2)                       # (T, M, K)
     g = np.einsum("tkm,tml->tkl", vectors.conj(), f_rf)  # rows h_k^H F_RF
     if full_csi:
@@ -318,7 +324,7 @@ def run_gain_vs_m(c: ExperimentConfig):
     pts = sample_locations(c.distribution_spec(), c.n_trials, stream_seed(c.seed, "gain"))
 
     def builder(m, scheme):
-        sub = ExperimentConfig(**{**c.__dict__, "num_antennas": m})
+        sub = replace(c, num_antennas=m)
         return build_scheme_codebook(sub, scheme, c.p, c.q)
 
     return _gain_rows(c, sweep, builder, lambda m: pts)
@@ -328,11 +334,11 @@ def run_gain_vs_rmax(c: ExperimentConfig):
     sweep = list(c.sweep or (c.r_max,))
 
     def builder(rmax, scheme):
-        sub = ExperimentConfig(**{**c.__dict__, "r_max": rmax})
+        sub = replace(c, r_max=rmax)
         return build_scheme_codebook(sub, scheme, c.p, c.q)
 
     def points_for(rmax):
-        sub = ExperimentConfig(**{**c.__dict__, "r_max": rmax})
+        sub = replace(c, r_max=rmax)
         return sample_locations(sub.distribution_spec(), c.n_trials,
                                 stream_seed(c.seed, "gain", int(rmax * 1000)))
 
@@ -455,7 +461,7 @@ def theory_report(c: ExperimentConfig) -> str:
     # rate-gap bound vs a measured per-user gap on a short protocol run
     if c.k_users < 2:
         return _theory_csv(rows, c)
-    sub = ExperimentConfig(**{**c.__dict__, "n_trials": c.n_mc, "schemes": ("geometric",)})
+    sub = replace(c, n_trials=c.n_mc, schemes=("geometric",))
     drawn = _parallel_trials(lambda t: draw_channels(sub, t), sub.n_trials, sub.threads)
     vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
     coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])

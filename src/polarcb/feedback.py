@@ -9,7 +9,7 @@ import numpy as np
 
 from .array_model import ArrayConfig, steering_matrix_exact
 from .channels import ChannelRealization, effective_channel
-from .codebooks import PolarCodebook
+from .codebooks import PolarCodebook, grid_codewords
 
 
 class ZFSingularError(RuntimeError):
@@ -25,25 +25,27 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
 
     `vectors` is (n, M); returns (best gain, best flat index) per row with
     flat index i * len(range_samples) + j and ties resolved to the lowest
-    index.  Codewords are built per range sample in angle blocks of `block`
-    columns to bound memory.
+    index.  The flat index range is walked in blocks of `block` codewords,
+    whatever the ring structure, so memory stays at one (block, M) codeword
+    array and each block costs one build and one product.  Blocks come in
+    increasing flat order and argmax returns the first maximum, so a strict
+    improvement test keeps the lowest index on ties.
     """
     vectors = np.atleast_2d(vectors)
     n = vectors.shape[0]
-    nq = len(range_samples)
+    total = len(angle_samples) * len(range_samples)
+    rows = np.arange(n)
     best = np.full(n, -1.0)
     best_idx = np.zeros(n, dtype=np.int64)
-    for a0 in range(0, len(angle_samples), block):
-        ang = angle_samples[a0:a0 + block]
-        for j, rj in enumerate(range_samples):
-            cw = steering_matrix_exact(cfg, ang, np.full_like(ang, rj))
-            g = np.abs(vectors @ cw.conj().T)
-            k = np.argmax(g, axis=1)
-            gm = g[np.arange(n), k]
-            flat = (a0 + k) * nq + j
-            better = (gm > best) | ((gm == best) & (flat < best_idx))
-            best[better] = gm[better]
-            best_idx[better] = flat[better]
+    for start in range(0, total, block):
+        cw = grid_codewords(cfg, angle_samples, range_samples, start,
+                            min(start + block, total))
+        g = np.abs(vectors @ cw.conj().T)
+        k = np.argmax(g, axis=1)
+        gm = g[rows, k]
+        better = gm > best
+        best[better] = gm[better]
+        best_idx[better] = start + k[better]
     return best, best_idx
 
 
@@ -175,8 +177,7 @@ def run_protocol(cfg: ArrayConfig, users, cb1: PolarCodebook | None, cb2: RVQCod
     else:
         vecs = np.array([u.vector for u in users])
         _, idx = best_codeword_scan(cfg, vecs, cb1.angle_samples, cb1.range_samples)
-        locs = np.array([cb1.location(i) for i in idx])
-        f_rf = steering_matrix_exact(cfg, locs[:, 0], locs[:, 1]).T
+        f_rf = steering_matrix_exact(cfg, *cb1.locations(idx)).T
 
     g = effective_channel(users, f_rf)
     if full_csi:

@@ -171,6 +171,23 @@ def test_cli_theory(tmp_path):
     assert out.read_text().startswith("item,closed_form")
 
 
+def test_cli_negative_seed_is_config_error(tmp_path):
+    cfg = _write(tmp_path, SMALL)
+    assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
+    assert main(["simulate", "--config", _write(tmp_path, "seed = -3\n")]) == 2
+
+
+@pytest.mark.parametrize("experiment", ["gain_vs_q", "gain_vs_m", "multipath_gain_vs_q"])
+def test_cli_non_integer_sweep_is_config_error(tmp_path, experiment):
+    cfg = _write(tmp_path, f"experiment = {experiment}\nschemes = geometric\nsweep = 2.7\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    with pytest.raises(ConfigError, match="integers"):
+        validate_config(ExperimentConfig(experiment=experiment, schemes=("geometric",),
+                                         sweep=(2.0, 2.7)))
+    validate_config(ExperimentConfig(experiment=experiment, schemes=("geometric",),
+                                     sweep=(2.0, 3.0)))
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     from polarcb import cli
     from polarcb.feedback import ZFSingularError

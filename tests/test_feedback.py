@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from polarcb import (PolarCoord, ZFSingularError, los_channel, multipath_channel_equal,
-                     multipath_feedback, phase1_select, phase2_select, run_protocol,
-                     rvq_generate, scheme_codebook, steering_vector_exact, user_rate,
-                     zf_beamformer)
+from polarcb import (PolarCoord, ZFSingularError, los_channel, multipath_channel,
+                     multipath_channel_equal, multipath_feedback, phase1_select,
+                     phase2_select, run_protocol, rvq_generate, scheme_codebook,
+                     steering_vector_exact, user_rate, zf_beamformer)
+from polarcb.array_model import steering_matrix_exact
+from polarcb.codebooks import PolarCodebook
+from polarcb.feedback import best_codeword_scan
 
 @pytest.fixture(scope="module")
 def small_cb(cfg129, region):
@@ -46,12 +49,104 @@ def test_phase1_errors(cfg129, small_cb):
 
 
 def test_scan_tie_breaks_to_lowest_index(cfg129):
-    from polarcb.codebooks import PolarCodebook
     # duplicated grid point: both codewords achieve the max, lowest flat wins
     cb = PolarCodebook(cfg129, np.array([0.2, 0.2]), np.array([30.0]))
     h = los_channel(cfg129, PolarCoord(0.2, 30.0))
     idx, gain = phase1_select(h, cb)
     assert idx == 0 and gain == pytest.approx(1.0)
+
+
+def _scan_per_ring(cfg, vectors, angle_samples, range_samples, block=4096):
+    "Reference scan: one steering build and one product per (angle block, range ring)."
+    vectors = np.atleast_2d(vectors)
+    n = vectors.shape[0]
+    nq = len(range_samples)
+    best = np.full(n, -1.0)
+    best_idx = np.zeros(n, dtype=np.int64)
+    for a0 in range(0, len(angle_samples), block):
+        ang = angle_samples[a0:a0 + block]
+        for j, rj in enumerate(range_samples):
+            cw = steering_matrix_exact(cfg, ang, np.full_like(ang, rj))
+            g = np.abs(vectors @ cw.conj().T)
+            k = np.argmax(g, axis=1)
+            gm = g[np.arange(n), k]
+            flat = (a0 + k) * nq + j
+            better = (gm > best) | ((gm == best) & (flat < best_idx))
+            best[better] = gm[better]
+            best_idx[better] = flat[better]
+    return best, best_idx
+
+
+def _scan_vectors(cfg, region, n):
+    "LoS, Rician (9.54 dB), equal-gain and i.i.d. Gaussian rows, n of each."
+    rng = np.random.default_rng(21)
+
+    def coords(count):
+        thetas = rng.uniform(region.theta_min, region.theta_max, count)
+        ranges = rng.uniform(region.r_min, region.r_max, count)
+        return [PolarCoord(t, r) for t, r in zip(thetas, ranges)]
+
+    los = [los_channel(cfg, co).vector for co in coords(n)]
+    rician = [multipath_channel(cfg, coords(1)[0], coords(2), 9.54, rng).vector
+              for _ in range(n)]
+    equal = [multipath_channel_equal(cfg, coords(3), rng).vector for _ in range(n)]
+    gauss = rng.standard_normal((n, cfg.num_antennas)) \
+        + 1j * rng.standard_normal((n, cfg.num_antennas))
+    return np.vstack([los, rician, equal, gauss])
+
+
+@pytest.mark.parametrize("scheme,p,q", [
+    ("geometric", 5, 3),      # 256 codewords
+    ("hybrid", 4, 3),         # far-field ring last
+    ("dft", 5, 3),            # every range infinite
+    ("geometric", 0, 6),      # one angle, 64 rings: the allocation's p = 0 split
+])
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_flat_scan_matches_per_ring_scan(cfg129, region, scheme, p, q, block):
+    cb = scheme_codebook(cfg129, region, scheme, p, q)
+    vecs = _scan_vectors(cfg129, region, 12)
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples,
+                                   block=block)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_flat_scan_matches_on_undivided_grid(cfg129, region, block):
+    # 700 angles x 7 rings = 4900 codewords: neither 7-wide angle blocks
+    # nor 4096-codeword blocks line up with the rings
+    angles = np.linspace(region.theta_min, region.theta_max, 700)
+    ranges = scheme_codebook(cfg129, region, "geometric", 0, 3).range_samples[:7]
+    vecs = _scan_vectors(cfg129, region, 8)
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, ranges)
+    gain, idx = best_codeword_scan(cfg129, vecs, angles, ranges, block=block)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+@pytest.mark.parametrize("angles,block", [
+    ([-0.1, 0.2, 0.2, 0.4], 2),           # copies at flat 1 and 2, blocks [0, 1] [2, 3]
+    ([-0.3, -0.1, 0.2, 0.2, 0.4], 3),     # copies at flat 2 and 3, blocks [0, 2] [3, 4]
+])
+def test_scan_tie_across_block_boundary(cfg129, angles, block):
+    # one grid point twice, its copies in different blocks: the lower index wins
+    angles, ranges = np.array(angles), np.array([30.0])
+    h = los_channel(cfg129, PolarCoord(0.2, 30.0)).vector
+    lowest = int(np.argmax(angles == 0.2))
+    _, ref_idx = _scan_per_ring(cfg129, h, angles, ranges)
+    gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=block)
+    assert ref_idx[0] == idx[0] == lowest
+    assert gain[0] == pytest.approx(np.linalg.norm(h))
+
+
+def test_codebook_locations_match_location(cfg129, region, small_cb):
+    flat = np.array([0, 5, 17, len(small_cb) - 1])
+    theta, r = small_cb.locations(flat)
+    assert [(float(t), float(x)) for t, x in zip(theta, r)] \
+        == [small_cb.location(int(f)) for f in flat]
+    i, j = divmod(17, len(small_cb.range_samples))
+    assert np.array_equal(small_cb.codeword(i, j), small_cb.codewords[17])
 
 
 def test_rvq_properties():
