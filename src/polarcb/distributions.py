@@ -110,12 +110,26 @@ def _hotspot_ranges(spec: HotSpotRange, count: int, rng) -> np.ndarray:
     return r
 
 
+MIN_TRUNCATION_MASS = 1e-3
+"""Smallest range-law mass inside [r_min, r_max] a truncated law may keep.
+Rejection sampling needs at most about 1 / mass rounds, so this caps them near 1000."""
+
+_MAX_REJECTION_ROUNDS = 50_000
+"50x the expected rounds at the mass floor; reached only by a spec below it."
+
+
 def _rejection_ranges(count, rng, draw, lo, hi) -> np.ndarray:
     "Sample `draw(n, rng)` until `count` values land inside [lo, hi]."
     out = np.empty(0)
+    rounds = 0
     while out.size < count:
+        if rounds == _MAX_REJECTION_ROUNDS:
+            raise ValueError(f"rejection sampling kept {out.size} of {count} ranges in "
+                             f"{rounds} rounds: the range law has too little mass "
+                             f"inside [{lo}, {hi}]")
         cand = draw(max(count, 1024), rng)
         out = np.concatenate([out, cand[(cand >= lo) & (cand <= hi)]])
+        rounds += 1
     return out[:count]
 
 
@@ -155,6 +169,23 @@ def sample_locations(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     return np.column_stack([theta, r])
 
 
+def truncation_mass(spec: DistributionSpec) -> float:
+    """Mass the untruncated range law puts inside [r_min, r_max].
+
+    1 for the laws that never leave the region; below 1 for the Gaussian
+    laws, which are truncated to it by rejection sampling.
+    """
+    if isinstance(spec, TruncatedGaussianRange):
+        comps = ((1.0, spec.mean, spec.std),)
+    elif isinstance(spec, GaussianMixtureRange):
+        comps = spec.components
+    else:
+        return 1.0
+    reg = spec.region
+    return float(sum(w * (norm.cdf(reg.r_max, mu, sd) - norm.cdf(reg.r_min, mu, sd))
+                     for w, mu, sd in comps))
+
+
 def range_pdf(spec: DistributionSpec, r) -> np.ndarray:
     "Range-marginal density in 1/m; zero outside [r_min, r_max]."
     if isinstance(spec, Empirical):
@@ -171,12 +202,10 @@ def range_pdf(spec: DistributionSpec, r) -> np.ndarray:
         cold_d = (1.0 - spec.hot_mass) / cold_w if cold_w > 0 else 0.0
         pdf = np.where(hot, spec.hot_mass / hot_w, cold_d)
     elif isinstance(spec, TruncatedGaussianRange):
-        mass = norm.cdf(reg.r_max, spec.mean, spec.std) - norm.cdf(reg.r_min, spec.mean, spec.std)
-        pdf = norm.pdf(r, spec.mean, spec.std) / mass
+        pdf = norm.pdf(r, spec.mean, spec.std) / truncation_mass(spec)
     elif isinstance(spec, GaussianMixtureRange):
-        mass = sum(w * (norm.cdf(reg.r_max, mu, sd) - norm.cdf(reg.r_min, mu, sd))
-                   for w, mu, sd in spec.components)
-        pdf = sum(w * norm.pdf(r, mu, sd) for w, mu, sd in spec.components) / mass
+        pdf = (sum(w * norm.pdf(r, mu, sd) for w, mu, sd in spec.components)
+               / truncation_mass(spec))
     else:
         raise TypeError(f"unknown distribution spec {type(spec).__name__}")
     return np.where(inside, pdf, 0.0)

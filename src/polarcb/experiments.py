@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,10 +20,11 @@ from .array_model import ArrayConfig, PolarCoord, PolarRegion, steering_matrix_e
 from .allocation import optimize_allocation
 from .channels import los_channel, multipath_channel, multipath_channel_equal
 from .codebooks import SCHEMES, PolarCodebook, scheme_codebook
-from .distributions import (DistributionSpec, GaussianMixtureRange, HotSpotRange,
-                            TruncatedGaussianRange, UniformPolar, load_empirical_csv,
-                            sample_locations)
+from .distributions import (MIN_TRUNCATION_MASS, DistributionSpec, GaussianMixtureRange,
+                            HotSpotRange, TruncatedGaussianRange, UniformPolar,
+                            load_empirical_csv, sample_locations, truncation_mass)
 from .feedback import MAX_ZF_CONDITION, RVQCodebook, best_codeword_scan, rvq_generate
+from .parallel import available_cpus, ordered_map
 from . import gain_theory
 
 EXPERIMENTS = ("rate_vs_snr", "gain_vs_q", "gain_vs_m", "gain_vs_rmax", "multipath_gain_vs_q")
@@ -92,8 +92,10 @@ class ExperimentConfig:
         if self.distribution == "gmm":
             comps = []
             for part in self.gmm_components.split(";"):
-                w, mu, sd = (float(x) for x in part.split(":"))
-                comps.append((w, mu, sd))
+                fields = part.split(":")
+                if len(fields) != 3:
+                    raise ConfigError(f"gmm component '{part}' is not 'weight:mean:std'")
+                comps.append(tuple(float(x) for x in fields))
             return GaussianMixtureRange(reg, tuple(comps))
         if self.distribution == "empirical":
             return load_empirical_csv(self.empirical_csv)
@@ -158,9 +160,12 @@ def validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("k_users and l_paths must be >= 1")
     try:
         c.array_config()
-        c.region()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _check_distribution(c)
+    if c.experiment == "gain_vs_rmax":
+        for r_max in c.sweep:
+            _check_distribution(replace(c, r_max=r_max))
     valid = set(SCHEMES) | {"full_csi"}
     bad = [s for s in c.schemes if s not in valid]
     if bad:
@@ -171,6 +176,18 @@ def validate_config(c: ExperimentConfig) -> None:
         raise ConfigError(f"{c.experiment} sweeps integers; got {list(c.sweep)}")
     if c.experiment != "rate_vs_snr" and "full_csi" in c.schemes:
         raise ConfigError("full_csi only applies to rate experiments")
+
+
+def _check_distribution(c: ExperimentConfig) -> None:
+    "Build the configured location law; reject it if invalid or sampled too slowly."
+    try:
+        spec = c.distribution_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    mass = truncation_mass(spec)
+    if mass < MIN_TRUNCATION_MASS:
+        raise ConfigError(f"the {c.distribution} range law keeps mass {mass:.3g} inside "
+                          f"[{c.r_min}, {c.r_max}] m, below the floor {MIN_TRUNCATION_MASS:g}")
 
 
 def stream_seed(seed, stream: str, *extra) -> tuple:
@@ -189,16 +206,17 @@ def _chunks(n: int, parts: int):
 
 
 def _parallel_trials(fn, n_trials: int, threads: int):
-    "Run fn(trial_index) for every trial, preserving trial order in the output."
-    if threads <= 1:
+    """Run fn(trial_index) for every trial, preserving trial order in the output.
+
+    Uses at most min(threads, n_trials, available CPUs) threads; every trial
+    draws from its own stream, so the count changes no result.
+    """
+    workers = min(threads, n_trials, available_cpus())
+    if workers <= 1:
         return [fn(t) for t in range(n_trials)]
-    out = [None] * n_trials
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        def run_chunk(chunk):
-            for t in chunk:
-                out[t] = fn(t)
-        list(pool.map(run_chunk, _chunks(n_trials, threads)))
-    return out
+    parts = ordered_map(lambda chunk: [fn(t) for t in chunk], _chunks(n_trials, workers),
+                        workers)
+    return [result for part in parts for result in part]
 
 
 def build_scheme_codebook(c: ExperimentConfig, scheme: str, p: int, q: int,

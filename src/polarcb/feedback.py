@@ -10,6 +10,7 @@ import numpy as np
 from .array_model import ArrayConfig, steering_matrix_exact
 from .channels import ChannelRealization, effective_channel
 from .codebooks import PolarCodebook, grid_codewords
+from .parallel import available_cpus, ordered_map
 
 
 class ZFSingularError(RuntimeError):
@@ -19,33 +20,47 @@ class ZFSingularError(RuntimeError):
 MAX_ZF_CONDITION = 1e8
 
 
+SCAN_CHUNK = 1024
+"""Codewords per phase-1 scan job.  Fixed, so chunk boundaries, and with them
+the selected indices and gains, do not depend on the number of CPUs."""
+
+
 def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.ndarray,
                        range_samples: np.ndarray, block: int = 4096):
     """Exhaustive |v^H b| scan over an angle x range codeword grid.
 
     `vectors` is (n, M); returns (best gain, best flat index) per row with
     flat index i * len(range_samples) + j and ties resolved to the lowest
-    index.  The flat index range is walked in blocks of `block` codewords,
-    whatever the ring structure, so memory stays at one (block, M) codeword
-    array and each block costs one build and one product.  Blocks come in
-    increasing flat order and argmax returns the first maximum, so a strict
-    improvement test keeps the lowest index on ties.
+    index.  The flat index range is cut into chunks of min(block, SCAN_CHUNK)
+    codewords, whatever the ring structure; each chunk costs one build, one
+    product and one argmax, and yields only its per-row maximum.  Chunks run
+    on up to block // chunk threads, one per available CPU (numpy's ufuncs
+    and BLAS release the GIL), so at most `block` codewords are in flight.
+    Chunk results are merged in increasing flat order with a strict
+    improvement test, and argmax returns the first maximum, so the lowest
+    index wins ties whatever the thread count.
     """
     vectors = np.atleast_2d(vectors)
     n = vectors.shape[0]
     total = len(angle_samples) * len(range_samples)
+    chunk = min(block, SCAN_CHUNK)
+    starts = range(0, total, chunk)
     rows = np.arange(n)
-    best = np.full(n, -1.0)
-    best_idx = np.zeros(n, dtype=np.int64)
-    for start in range(0, total, block):
+
+    def score(start):
         cw = grid_codewords(cfg, angle_samples, range_samples, start,
-                            min(start + block, total))
+                            min(start + chunk, total))
         g = np.abs(vectors @ cw.conj().T)
         k = np.argmax(g, axis=1)
-        gm = g[rows, k]
+        return g[rows, k], start + k
+
+    best = np.full(n, -1.0)
+    best_idx = np.zeros(n, dtype=np.int64)
+    workers = min(available_cpus(), block // chunk, len(starts))
+    for gm, flat in ordered_map(score, starts, workers):
         better = gm > best
         best[better] = gm[better]
-        best_idx[better] = start + k[better]
+        best_idx[better] = flat[better]
     return best, best_idx
 
 

@@ -96,6 +96,16 @@ def test_validation_errors(region):
         sample_locations(UniformPolar(region), 0, 1)
 
 
+def test_rejection_sampling_is_bounded(region):
+    from polarcb.distributions import _rejection_ranges, truncation_mass
+
+    never = lambda n, rng: np.full(n, -1.0)      # no draw lands in the region
+    with pytest.raises(ValueError, match="too little mass"):
+        _rejection_ranges(5, np.random.default_rng(0), never, region.r_min, region.r_max)
+    assert truncation_mass(TruncatedGaussianRange(region, 5000.0, 1.0)) == 0.0
+    assert truncation_mass(UniformPolar(region)) == 1.0
+
+
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "users.csv"
     path.write_text("theta,r_m\n0.1,10.0\n-0.2,55.5\n")

@@ -1,3 +1,7 @@
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,6 +190,58 @@ def test_cli_non_integer_sweep_is_config_error(tmp_path, experiment):
                                          sweep=(2.0, 2.7)))
     validate_config(ExperimentConfig(experiment=experiment, schemes=("geometric",),
                                      sweep=(2.0, 3.0)))
+
+
+def _main_within(argv, seconds):
+    "cli.main(argv) in a thread; fails the test if it runs longer than `seconds`."
+    result = []
+    worker = threading.Thread(target=lambda: result.append(main(argv)), daemon=True)
+    start = time.perf_counter()
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"cli.main ran past {seconds} s"
+    assert time.perf_counter() - start < seconds
+    return result[0]
+
+
+@pytest.mark.parametrize("lines", [
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\ngmm_components = 0.5:10\n",
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\ngmm_components = 1:x:3\n",
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = hotspot\nhot_lo = 200\n",
+    # no mass inside [4, 120]: rejection sampling used to spin forever
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = gaussian\n"
+    "gauss_mean = 5000\ngauss_std = 1\n",
+    # valid at the configured r_max; the swept r_max = 15 cuts the hot interval
+    "experiment = gain_vs_rmax\nsweep = 15,60\ndistribution = hotspot\n",
+])
+def test_cli_bad_distribution_is_config_error(tmp_path, lines):
+    text = "schemes = geometric\nnum_antennas = 65\np = 4\nn_trials = 20\n" + lines
+    assert _main_within(["simulate", "--config", _write(tmp_path, text)], 10.0) == 2
+
+
+def test_truncation_mass_floor():
+    ok = ExperimentConfig(distribution="gaussian", gauss_mean=130.0, gauss_std=5.0)
+    validate_config(ok)                  # 2.3% of the law inside [4, 120]
+    with pytest.raises(ConfigError, match="floor"):
+        validate_config(replace(ok, gauss_mean=140.0))      # 3e-5 inside
+    with pytest.raises(ConfigError, match="floor"):
+        validate_config(ExperimentConfig(experiment="gain_vs_rmax", schemes=("geometric",),
+                                         distribution="gaussian", gauss_mean=60.0,
+                                         gauss_std=2.0, sweep=(30.0, 120.0)))
+
+
+def test_trial_pool_capped(monkeypatch, recorded_pools):
+    import polarcb.experiments as experiments
+
+    expected = [t * t for t in range(3)]
+    for cpus, pools in ((8, [3]), (2, [2]), (1, [])):
+        recorded_pools.clear()
+        monkeypatch.setattr(experiments, "available_cpus", lambda cpus=cpus: cpus)
+        assert experiments._parallel_trials(lambda t: t * t, 3, 64) == expected
+        assert recorded_pools == pools
+    recorded_pools.clear()
+    assert experiments._parallel_trials(lambda t: t * t, 3, 1) == expected
+    assert recorded_pools == []
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):

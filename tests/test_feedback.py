@@ -1,5 +1,11 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+
+import polarcb.feedback as feedback
 
 from polarcb import (PolarCoord, ZFSingularError, los_channel, multipath_channel,
                      multipath_channel_equal, multipath_feedback, phase1_select,
@@ -138,6 +144,72 @@ def test_scan_tie_across_block_boundary(cfg129, angles, block):
     gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=block)
     assert ref_idx[0] == idx[0] == lowest
     assert gain[0] == pytest.approx(np.linalg.norm(h))
+
+
+def test_scan_independent_of_cpu_count(cfg129, region, monkeypatch, recorded_pools):
+    # 450 angles x 7 rings = 3150 codewords: 3 full chunks of 1024 and a
+    # partial one, with boundaries inside angle rows
+    angles = np.linspace(region.theta_min, region.theta_max, 450)
+    ranges = scheme_codebook(cfg129, region, "geometric", 0, 3).range_samples[:7]
+    vecs = _scan_vectors(cfg129, region, 6)
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, ranges)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(feedback, "available_cpus", lambda cpus=cpus: cpus)
+            runs.append(best_codeword_scan(cfg129, vecs, angles, ranges))
+    finally:
+        sys.setswitchinterval(interval)
+    assert recorded_pools == [2, 3]
+    for gain, idx in runs:
+        assert np.array_equal(gain, runs[0][0])
+        assert np.array_equal(idx, runs[0][1])
+    assert np.array_equal(runs[0][1], ref_idx)
+    assert np.abs(runs[0][0] - ref_gain).max() <= 1e-12
+
+
+@pytest.mark.parametrize("block,workers", [(2048, 2), (2500, 2), (3072, 3)])
+def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded_pools,
+                                                  block, workers):
+    lock = threading.Lock()
+    live = [0, 0]            # codewords under construction now, and at most
+    build = feedback.grid_codewords
+
+    def counted(cfg, angle_samples, range_samples, start, stop):
+        with lock:
+            live[0] += stop - start
+            live[1] = max(live)
+        try:
+            time.sleep(0.02)     # hold the chunk so that the workers overlap
+            return build(cfg, angle_samples, range_samples, start, stop)
+        finally:
+            with lock:
+                live[0] -= stop - start
+
+    monkeypatch.setattr(feedback, "grid_codewords", counted)
+    monkeypatch.setattr(feedback, "available_cpus", lambda: 8)
+    angles = np.linspace(-0.5, 0.5, 6000)
+    h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
+    best_codeword_scan(cfg129, h, angles, np.array([30.0]), block=block)
+    assert recorded_pools == [workers]
+    assert feedback.SCAN_CHUNK < live[1] <= block
+    assert live[0] == 0
+
+
+def test_scan_tie_across_chunks_of_two_workers(cfg129, monkeypatch, recorded_pools):
+    # one grid point at flat 1023 and 1024, the last of chunk 0 and the first
+    # of chunk 1, which two workers score: the lower index wins
+    monkeypatch.setattr(feedback, "available_cpus", lambda: 2)
+    angles = np.linspace(-0.5, 0.5, 2048)
+    angles[1024] = angles[1023]
+    h = los_channel(cfg129, PolarCoord(angles[1023], 30.0)).vector
+    vecs = np.vstack([h, 2.5j * h])
+    gain, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]))
+    assert recorded_pools == [2]
+    assert list(idx) == [1023, 1023]
+    assert gain == pytest.approx(np.linalg.norm(vecs, axis=1))
 
 
 def test_codebook_locations_match_location(cfg129, region, small_cb):
