@@ -146,20 +146,23 @@ def _phase_diff_fresnel(cfg: ArrayConfig, theta, r):
     return -d * theta + d**2 * (1.0 - theta**2) * inv_r / 2.0
 
 
+def _steering_from_diff(cfg: ArrayConfig, diff) -> NDArray[np.complex128]:
+    "Unit-norm steering rows exp(-i k diff) / sqrt(M) from per-antenna path differences."
+    return np.exp(-1j * cfg.wavenumber * diff) / np.sqrt(cfg.num_antennas)
+
+
 def steering_matrix_exact(cfg: ArrayConfig, theta, r) -> NDArray[np.complex128]:
     """Rows of unit-norm steering vectors at the given (theta, r) points.
 
     ``theta`` and ``r`` broadcast to a common leading shape; the trailing
     axis is the antenna index.  ``r = inf`` yields the far-field response.
     """
-    diff = _phase_diff_exact(cfg, theta, r)
-    return np.exp(-1j * cfg.wavenumber * diff) / np.sqrt(cfg.num_antennas)
+    return _steering_from_diff(cfg, _phase_diff_exact(cfg, theta, r))
 
 
 def steering_matrix_fresnel(cfg: ArrayConfig, theta, r) -> NDArray[np.complex128]:
     "Fresnel-approximated counterpart of :func:`steering_matrix_exact`."
-    diff = _phase_diff_fresnel(cfg, theta, r)
-    return np.exp(-1j * cfg.wavenumber * diff) / np.sqrt(cfg.num_antennas)
+    return _steering_from_diff(cfg, _phase_diff_fresnel(cfg, theta, r))
 
 
 def steering_vector_exact(cfg: ArrayConfig, p: PolarCoord) -> NDArray[np.complex128]:

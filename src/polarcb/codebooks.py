@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import ArrayConfig, PolarRegion, steering_matrix_exact
+from .array_model import ArrayConfig, PolarRegion, _phase_diff_exact, _steering_from_diff
 
 
 def uniform_angle_samples(region: PolarRegion, p: int) -> np.ndarray:
@@ -199,11 +199,26 @@ def grid_locations(angle_samples, range_samples, flat):
     return np.asarray(angle_samples)[flat // nq], np.asarray(range_samples)[flat % nq]
 
 
+def grid_phase_diff(cfg: ArrayConfig, angle_samples, range_samples, start: int,
+                    stop: int) -> np.ndarray:
+    """(stop - start, M) path differences r^(m) - r at flat grid indices start..stop-1.
+
+    Codeword entry m is exp(-i k (r^(m) - r)) / sqrt(M) with k the wavenumber;
+    the float64 build (`grid_codewords`) and the phase-1 scan's complex64
+    bulk build both start from this array.
+    """
+    theta, r = grid_locations(angle_samples, range_samples, np.arange(start, stop))
+    return _phase_diff_exact(cfg, theta, r)
+
+
 def grid_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
                    stop: int) -> np.ndarray:
-    "(stop - start, M) codewords at flat grid indices start..stop-1, one steering call."
-    theta, r = grid_locations(angle_samples, range_samples, np.arange(start, stop))
-    return steering_matrix_exact(cfg, theta, r)
+    """(stop - start, M) codewords at flat grid indices start..stop-1.
+
+    Bit-identical to `steering_matrix_exact` at the same grid points.
+    """
+    return _steering_from_diff(cfg, grid_phase_diff(cfg, angle_samples, range_samples,
+                                                    start, stop))
 
 
 @dataclass(frozen=True, eq=False)

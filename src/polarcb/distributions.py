@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.stats import norm
 
 from .array_model import PolarRegion
 
@@ -169,6 +168,19 @@ def sample_locations(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     return np.column_stack([theta, r])
 
 
+# scipy.stats takes about a second to import; these two equal its norm.cdf and
+# norm.pdf bit for bit, and import scipy.special only when first called
+def _norm_cdf(x, mu, sd):
+    from scipy.special import ndtr
+
+    return ndtr((x - mu) / sd)
+
+
+def _norm_pdf(x, mu, sd):
+    z = (x - mu) / sd
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / sd
+
+
 def truncation_mass(spec: DistributionSpec) -> float:
     """Mass the untruncated range law puts inside [r_min, r_max].
 
@@ -182,7 +194,7 @@ def truncation_mass(spec: DistributionSpec) -> float:
     else:
         return 1.0
     reg = spec.region
-    return float(sum(w * (norm.cdf(reg.r_max, mu, sd) - norm.cdf(reg.r_min, mu, sd))
+    return float(sum(w * (_norm_cdf(reg.r_max, mu, sd) - _norm_cdf(reg.r_min, mu, sd))
                      for w, mu, sd in comps))
 
 
@@ -202,9 +214,9 @@ def range_pdf(spec: DistributionSpec, r) -> np.ndarray:
         cold_d = (1.0 - spec.hot_mass) / cold_w if cold_w > 0 else 0.0
         pdf = np.where(hot, spec.hot_mass / hot_w, cold_d)
     elif isinstance(spec, TruncatedGaussianRange):
-        pdf = norm.pdf(r, spec.mean, spec.std) / truncation_mass(spec)
+        pdf = _norm_pdf(r, spec.mean, spec.std) / truncation_mass(spec)
     elif isinstance(spec, GaussianMixtureRange):
-        pdf = (sum(w * norm.pdf(r, mu, sd) for w, mu, sd in spec.components)
+        pdf = (sum(w * _norm_pdf(r, mu, sd) for w, mu, sd in spec.components)
                / truncation_mass(spec))
     else:
         raise TypeError(f"unknown distribution spec {type(spec).__name__}")

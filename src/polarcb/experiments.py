@@ -230,10 +230,14 @@ def build_scheme_codebook(c: ExperimentConfig, scheme: str, p: int, q: int,
                            lloyd_data=lloyd_data, lloyd_tolerance=c.lloyd_tolerance)
 
 
-def draw_channels(c: ExperimentConfig, trial: int, equal_gains: bool = False):
-    "One trial's K user channels (and their location coords)."
+def draw_channels(c: ExperimentConfig, spec: DistributionSpec, trial: int,
+                  equal_gains: bool = False):
+    """One trial's K user channels (and their location coords).
+
+    `spec` is `c.distribution_spec()`, built once per run by the caller: an
+    empirical law reads its CSV file when built.
+    """
     cfg = c.array_config()
-    spec = c.distribution_spec()
     locs = sample_locations(spec, c.k_users, trial_rng(c.seed, "loc", trial))
     coords = [PolarCoord(float(t), float(r)) for t, r in locs]
     channels = []
@@ -296,7 +300,8 @@ def run_rate_vs_snr(c: ExperimentConfig):
     "Sum-rate vs SNR rows for every configured scheme."
     cfg = c.array_config()
     snrs = c.sweep or (c.snr_db,)
-    drawn = _parallel_trials(lambda t: draw_channels(c, t), c.n_trials, c.threads)
+    spec = c.distribution_spec()
+    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t), c.n_trials, c.threads)
     vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
     coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])
     cb2 = rvq_generate(c.k_users, c.b2, "isotropic", stream_seed(c.seed, "rvq"))
@@ -370,7 +375,8 @@ def run_multipath_gain_vs_q(c: ExperimentConfig):
     cfg = c.array_config()
     sweep = [int(v) for v in (c.sweep or (c.q,))]
     gain_cb = rvq_generate(c.l_paths, c.b2, "isotropic", stream_seed(c.seed, "gainrvq"))
-    drawn = _parallel_trials(lambda t: draw_channels(c, t, equal_gains=True),
+    spec = c.distribution_spec()
+    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t, equal_gains=True),
                              c.n_trials, c.threads)
     channels = [ch for chans, _ in drawn for ch in chans]
     rows = []
@@ -480,7 +486,8 @@ def theory_report(c: ExperimentConfig) -> str:
     if c.k_users < 2:
         return _theory_csv(rows, c)
     sub = replace(c, n_trials=c.n_mc, schemes=("geometric",))
-    drawn = _parallel_trials(lambda t: draw_channels(sub, t), sub.n_trials, sub.threads)
+    spec = sub.distribution_spec()
+    drawn = _parallel_trials(lambda t: draw_channels(sub, spec, t), sub.n_trials, sub.threads)
     vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
     coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])
     cb2 = rvq_generate(sub.k_users, sub.b2, "isotropic", stream_seed(sub.seed, "rvq"))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .array_model import ArrayConfig, steering_matrix_exact
 from .channels import ChannelRealization, effective_channel
-from .codebooks import PolarCodebook, grid_codewords
+from .codebooks import PolarCodebook, grid_locations, grid_phase_diff
 from .parallel import available_cpus, ordered_map
 
 
@@ -21,8 +21,111 @@ MAX_ZF_CONDITION = 1e8
 
 
 SCAN_CHUNK = 1024
-"""Codewords per phase-1 scan job.  Fixed, so chunk boundaries, and with them
-the selected indices and gains, do not depend on the number of CPUs."""
+"""Codewords per phase-1 scan job, and (row, codeword) pairs per rescoring step.
+Fixed, so chunk boundaries, and with them the selected indices and gains, do
+not depend on the number of CPUs."""
+
+_U32 = 2.0**-24
+"Unit roundoff of float32."
+
+_TRIG_ERR = 2.0
+"""Bound, in units of _U32, on the absolute error of numpy's float32 cos and sin
+on [-pi, pi].  Checked against float64 on every float32 in [-pi, pi]: at most
+1.19 for cos and 1.07 for sin (numpy 2.4, x86-64)."""
+
+_EPS_TRIG = (np.pi + np.sqrt(2.0) * _TRIG_ERR + 1.0) * _U32
+"Bound on |c'_i - c_i| per entry of a bulk codeword; see `_bulk_error_bound`."
+
+_TWO_PI = 2.0 * np.pi
+
+
+def _bulk_conj_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
+                         stop: int) -> np.ndarray:
+    """Complex64 stand-ins for sqrt(M) * conj(grid_codewords(...)), unit-modulus entries.
+
+    The phase k (r^(m) - r) is formed in float64 exactly as the float64 build
+    forms it, reduced to [-pi, pi] in float64, and only then cast to float32,
+    so the float32 cos and sin see a phase whose cast costs at most pi * u.
+    """
+    phase = cfg.wavenumber * grid_phase_diff(cfg, angle_samples, range_samples, start, stop)
+    turns = np.rint(phase * (1.0 / _TWO_PI))
+    turns *= _TWO_PI
+    phase -= turns
+    phase32 = phase.astype(np.float32)
+    cw = np.empty(phase32.shape, np.complex64)
+    np.cos(phase32, out=cw.real)
+    np.sin(phase32, out=cw.imag)
+    return cw
+
+
+def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray) -> np.ndarray:
+    "Bulk scores |v^H b| * sqrt(M) of complex64 rows against `_bulk_conj_codewords`, in float64."
+    return np.abs((rows32 @ cw32.T).astype(np.complex128))
+
+
+def _pow2_scaled(vectors: np.ndarray) -> np.ndarray:
+    "Rows scaled by powers of two (exactly) so that their largest entry modulus lies in [1/2, 1)."
+    peak = np.abs(vectors).max(axis=1)
+    return vectors * np.ldexp(1.0, -np.frexp(peak)[1])[:, None]
+
+
+def _bulk_error_bound(cfg: ArrayConfig, rows: np.ndarray) -> np.ndarray:
+    """Per-row bound E on |bulk score - sqrt(M) * float64 gain|, for any codeword.
+
+    `rows` come from `_pow2_scaled`, so their largest entry modulus lies in
+    [1/2, 1).  The bulk pass scores their complex64 casts v' against the
+    codewords c' of `_bulk_conj_codewords`; the float64 gain is |v^H b| with
+    b = c / sqrt(M) from `steering_matrix_exact`.  With u = 2^-24 and
+    gamma_n = n u / (1 - n u), for M below 10^6:
+
+    - Product (sqrt(2) gamma_{2M+2}).  The real and the imaginary part of
+      v'^T c' are each a sum of 2M real products; in any summation order,
+      with or without fused multiply-adds, each part is off by at most
+      gamma_{2M} sum_i |v'_i| |c'_i| (Higham, Accuracy and Stability of
+      Numerical Algorithms, section 3.1; Cauchy-Schwarz bounds the two real
+      products in a part by |v'_i| |c'_i|), so the complex result by
+      sqrt(2) gamma_{2M} sum_i |v'_i| |c'_i| <= sqrt(2) gamma_{2M} (1 + u)
+      (1 + eps_trig) ||v|| sqrt(M).  Two extra roundings in the index absorb
+      the factors (1 + u)(1 + eps_trig).  The form gamma_{M+2} would assume
+      each complex product is rounded as one complex operation, which a
+      BLAS kernel need not do.
+    - Cast of v (eps_cast = 2u).  Each entry of v' is v_i (1 + d), |d| <= u,
+      so |(v' - v)^T c'| <= u ||v|| ||c'||.  The second u covers every float64
+      rounding: the modulus of the complex64 result, the rescoring sum,
+      the subtraction that forms the survivor threshold, and gradual
+      underflow in float32 (at most 4M 2^-150 per part, below 2^-100 ||v||
+      after the scaling).
+    - Codewords (eps_trig = (pi + 2 sqrt(2) + 1) u).  The reduced phase has
+      |psi| <= pi (up to float64 rounding), so casting it to float32 moves it by at most pi u, which
+      moves e^{i psi} by as much; cos and sin add at most _TRIG_ERR u each,
+      so sqrt(2) _TRIG_ERR u to the entry; the last u covers the float64
+      reduction (about 2^-50 |phase|, phases below 2^20 rad) and the float64
+      cos, sin and 1 / sqrt(M) of `steering_matrix_exact`.  Summed over the
+      entries, |v^T (c' - c)| <= eps_trig ||v|| sqrt(M).
+
+    E = ||v|| sqrt(M) (sqrt(2) gamma_{2M+2} + eps_cast + eps_trig).
+    """
+    n = 2 * cfg.num_antennas + 2
+    gamma = n * _U32 / (1.0 - n * _U32)
+    rel = np.sqrt(2.0) * gamma + 2.0 * _U32 + _EPS_TRIG
+    return np.linalg.norm(rows, axis=1) * np.sqrt(cfg.num_antennas) * rel
+
+
+def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples,
+             rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
+    """Float64 gains |v^H b| of (row, flat index) pairs.
+
+    Each distinct codeword is built once with `steering_matrix_exact`; each
+    pair is reduced by an elementwise product and a numpy sum, whose order
+    depends on M alone, so a pair's gain does not depend on BLAS, threads or
+    which other pairs are rescored with it.
+    """
+    uniq, inv = np.unique(flats, return_inverse=True)
+    cw = steering_matrix_exact(cfg, *grid_locations(angle_samples, range_samples, uniq))
+    np.conjugate(cw, out=cw)
+    prod = cw[inv]
+    prod *= vectors[rows]
+    return np.abs(prod.sum(axis=1))
 
 
 def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.ndarray,
@@ -31,36 +134,76 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
 
     `vectors` is (n, M); returns (best gain, best flat index) per row with
     flat index i * len(range_samples) + j and ties resolved to the lowest
-    index.  The flat index range is cut into chunks of min(block, SCAN_CHUNK)
-    codewords, whatever the ring structure; each chunk costs one build, one
-    product and one argmax, and yields only its per-row maximum.  Chunks run
-    on up to block // chunk threads, one per available CPU (numpy's ufuncs
-    and BLAS release the GIL), so at most `block` codewords are in flight.
-    Chunk results are merged in increasing flat order with a strict
-    improvement test, and argmax returns the first maximum, so the lowest
-    index wins ties whatever the thread count.
+    index.  The result is that of scoring every codeword in float64 with
+    `_rescore`; an all-zero row gets gain 0 at index 0.
+
+    Pass 1 scores every codeword in complex64.  Each row is scaled by a
+    power of two and cast; the flat index range is cut into chunks of
+    min(block, SCAN_CHUNK) codewords, whatever the ring structure, and each
+    chunk costs one float64 phase build, float32 cos and sin, one complex64
+    product and a threshold.  A chunk keeps, per row, each codeword whose
+    bulk score is within 2E (`_bulk_error_bound`) of the chunk's best; the
+    main thread merges chunks in flat order and drops the kept codewords
+    that fall more than 2E below the row's best so far.  Every codeword
+    whose float64 gain equals the row's maximum scores within E of it, and
+    no bulk score exceeds it by more than E, so all of them survive.
+    Chunks run on up to block // chunk threads, one per available CPU
+    (numpy's ufuncs and BLAS release the GIL), so at most `block` codewords
+    are in flight.
+
+    Pass 2 rescores the surviving (row, codeword) pairs in float64, in
+    flat order, in steps of at most min(block, SCAN_CHUNK) pairs on the same
+    number of threads, and keeps per row the largest gain, the lowest flat
+    index among equal gains.  Which pairs survive may vary with BLAS's
+    summation order, but neither the gain of a pair nor the set of pairs
+    reaching the maximum, so results depend neither on the number of CPUs
+    nor on BLAS's thread count.
     """
     vectors = np.atleast_2d(vectors)
     n = vectors.shape[0]
     total = len(angle_samples) * len(range_samples)
     chunk = min(block, SCAN_CHUNK)
     starts = range(0, total, chunk)
-    rows = np.arange(n)
+    best = np.zeros(n)
+    best_idx = np.zeros(n, dtype=np.int64)
+
+    live = np.flatnonzero(np.abs(vectors).max(axis=1) > 0)
+    scaled = _pow2_scaled(vectors[live])
+    margin = 2.0 * _bulk_error_bound(cfg, scaled)
+    rows32 = scaled.astype(np.complex64)
 
     def score(start):
-        cw = grid_codewords(cfg, angle_samples, range_samples, start,
-                            min(start + chunk, total))
-        g = np.abs(vectors @ cw.conj().T)
-        k = np.argmax(g, axis=1)
-        return g[rows, k], start + k
+        cw = _bulk_conj_codewords(cfg, angle_samples, range_samples, start,
+                                  min(start + chunk, total))
+        g = _bulk_scores(rows32, cw)
+        top = g.max(axis=1)
+        row, k = np.nonzero(g >= (top - margin)[:, None])
+        return top, row, start + k, g[row, k]
 
-    best = np.full(n, -1.0)
-    best_idx = np.zeros(n, dtype=np.int64)
+    top = np.full(len(live), -np.inf)
+    rows = flats = np.empty(0, dtype=np.int64)
+    scores = np.empty(0)
     workers = min(available_cpus(), block // chunk, len(starts))
-    for gm, flat in ordered_map(score, starts, workers):
-        better = gm > best
-        best[better] = gm[better]
-        best_idx[better] = flat[better]
+    for chunk_top, row, flat, s in ordered_map(score, starts, workers):
+        np.maximum(top, chunk_top, out=top)
+        rows, flats, scores = (np.concatenate(pair) for pair in
+                               ((rows, row), (flats, flat), (scores, s)))
+        keep = scores >= (top - margin)[rows]
+        rows, flats, scores = rows[keep], flats[keep], scores[keep]
+
+    order = np.lexsort((rows, flats))
+    rows, flats = live[rows[order]], flats[order]
+    steps = range(0, len(rows), chunk)
+    rescored = ordered_map(lambda i: _rescore(cfg, vectors, angle_samples, range_samples,
+                                              rows[i:i + chunk], flats[i:i + chunk]),
+                           steps, min(workers, len(steps)))
+    gains = np.concatenate([np.empty(0), *rescored])
+    pick = np.lexsort((flats, -gains, rows))
+    first = np.ones(len(pick), dtype=bool)
+    first[1:] = rows[pick][1:] != rows[pick][:-1]
+    pick = pick[first]
+    best[rows[pick]] = gains[pick]
+    best_idx[rows[pick]] = flats[pick]
     return best, best_idx
 
 

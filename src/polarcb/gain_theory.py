@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .array_model import ArrayConfig, PolarRegion
 
@@ -65,6 +64,8 @@ def _first_derivative_root(slice_fn, x_hi: float, n_grid: int = 20001) -> float:
     lo, hi = xs[k], xs[k + 2]
     if deriv(lo) * deriv(hi) > 0:
         return float(xs[k + 1])
+    from scipy.optimize import brentq
+
     return float(brentq(deriv, lo, hi, xtol=1e-12))
 
 
@@ -236,6 +237,8 @@ def calibrate(cfg: ArrayConfig, gamma0: float, region: PolarRegion,
 
     def range_eq(x):
         return float(f_gain(ref, 0.0, vt * x)) - gamma0
+
+    from scipy.optimize import brentq
 
     eps_theta = brentq(angle_eq, 0.0, 2.0 / m0 * (1 - 1e-9), xtol=1e-15)
     eps_r = brentq(range_eq, 0.0, u_hi / vt, xtol=1e-15)

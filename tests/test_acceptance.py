@@ -41,7 +41,8 @@ def protocol_run():
     "1000 protocol trials at the default setup, all schemes, shared by 9 and 11."
     c = ExperimentConfig(num_antennas=387, p=12, q=3, k_users=4, l_paths=3,
                          kappa_db=9.54, b2=12, n_trials=1000, seed=SEED)
-    drawn = _parallel_trials(lambda t: draw_channels(c, t), c.n_trials, 1)
+    spec = c.distribution_spec()
+    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t), c.n_trials, 1)
     vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
     coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])
     cb2 = rvq_generate(4, 12, "isotropic", stream_seed(SEED, "rvq"))
@@ -353,7 +354,8 @@ def test_criterion_13_allocation_trend():
 def test_criterion_14_multipath_ordering():
     c = ExperimentConfig(num_antennas=387, p=12, q=3, k_users=1, l_paths=3,
                          n_trials=1000, seed=SEED)
-    drawn = _parallel_trials(lambda t: draw_channels(c, t, equal_gains=True),
+    spec = c.distribution_spec()
+    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t, equal_gains=True),
                              c.n_trials, 1)
     channels = [chans[0] for chans, _ in drawn]
     gain_cb = rvq_generate(3, 12, "isotropic", stream_seed(SEED, "gainrvq"))

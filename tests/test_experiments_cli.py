@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarcb
+import polarcb.experiments as experiments
 from polarcb.cli import main
 from polarcb.codebooks import load_codebook_binary, load_codebook_csv
 from polarcb.experiments import (ConfigError, ExperimentConfig, parse_config_text,
@@ -272,3 +278,72 @@ empirical_csv = {users}
     out = tmp_path / "rows.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert "geometric" in out.read_text()
+
+
+SRC = str(Path(polarcb.__file__).resolve().parents[1])
+
+
+def _cli_process(args, tmp_path, blas_threads=None, timeout=300):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("command,text", [
+    ("allocate", "b1 = 12\nn_mc = 60\nnum_antennas = 129\nseed = 0\n"),
+    ("simulate", "experiment = gain_vs_q\nnum_antennas = 129\ndistribution = gmm\n"
+                 "gmm_components = 0.5:15:5;0.5:60:20\np = 8\nsweep = 1,2,3,4\n"
+                 "schemes = geometric,hyperbolic,uniform\nn_trials = 300\nseed = 0\n"),
+], ids=["allocate", "gain_vs_q_gmm"])
+def test_csv_bytes_independent_of_blas_threads(tmp_path, command, text):
+    # both configs wrote different last digits under 1 and 2 OpenBLAS threads
+    # while phase-1 gains came from a BLAS product
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}.csv"
+        _cli_process(["-m", "polarcb.cli", command, "--config", str(cfg), "--out", str(out)],
+                     tmp_path, blas_threads=threads)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_skips_slow_scipy_modules(tmp_path):
+    loaded = _cli_process(["-c", "import sys, polarcb.cli; print(sorted(sys.modules))"],
+                          tmp_path, timeout=60)
+    assert "polarcb.cli" in loaded
+    assert "'scipy.stats'" not in loaded and "'scipy.optimize'" not in loaded
+
+
+@pytest.mark.parametrize("experiment", ["rate_vs_snr", "multipath_gain_vs_q"])
+def test_empirical_csv_read_once_per_run(tmp_path, monkeypatch, experiment):
+    users = tmp_path / "users.csv"
+    users.write_text("theta,r_m\n0.0,30.0\n0.2,50.0\n-0.3,10.0\n0.1,80.0\n")
+    loads = []
+    real = experiments.load_empirical_csv
+    monkeypatch.setattr(experiments, "load_empirical_csv",
+                        lambda path: loads.append(path) or real(path))
+    counts = []
+    for trials in (2, 8):
+        cfg = _write(tmp_path, f"""
+experiment = {experiment}
+num_antennas = 33
+p = 3
+q = 2
+b2 = 4
+k_users = 2
+n_trials = {trials}
+schemes = geometric
+distribution = empirical
+empirical_csv = {users}
+""")
+        loads.clear()
+        assert main(["simulate", "--config", cfg]) == 0
+        counts.append(len(loads))
+    # one read when the config is loaded, one when the run validates it, one for the draws
+    assert counts == [3, 3]

@@ -7,8 +7,8 @@ import pytest
 
 import polarcb.feedback as feedback
 
-from polarcb import (PolarCoord, ZFSingularError, los_channel, multipath_channel,
-                     multipath_channel_equal, multipath_feedback, phase1_select,
+from polarcb import (ArrayConfig, PolarCoord, ZFSingularError, los_channel,
+                     multipath_channel, multipath_channel_equal, multipath_feedback, phase1_select,
                      phase2_select, run_protocol, rvq_generate, scheme_codebook,
                      steering_vector_exact, user_rate, zf_beamformer)
 from polarcb.array_model import steering_matrix_exact
@@ -175,7 +175,7 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
                                                   block, workers):
     lock = threading.Lock()
     live = [0, 0]            # codewords under construction now, and at most
-    build = feedback.grid_codewords
+    build = feedback._bulk_conj_codewords
 
     def counted(cfg, angle_samples, range_samples, start, stop):
         with lock:
@@ -188,7 +188,7 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
             with lock:
                 live[0] -= stop - start
 
-    monkeypatch.setattr(feedback, "grid_codewords", counted)
+    monkeypatch.setattr(feedback, "_bulk_conj_codewords", counted)
     monkeypatch.setattr(feedback, "available_cpus", lambda: 8)
     angles = np.linspace(-0.5, 0.5, 6000)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
@@ -210,6 +210,54 @@ def test_scan_tie_across_chunks_of_two_workers(cfg129, monkeypatch, recorded_poo
     assert recorded_pools == [2]
     assert list(idx) == [1023, 1023]
     assert gain == pytest.approx(np.linalg.norm(vecs, axis=1))
+
+
+def test_bulk_trig_error_within_assumed_bound():
+    # the bulk bound assumes float32 cos and sin within _TRIG_ERR * 2^-24 on [-pi, pi]
+    x = np.linspace(-np.pi, np.pi, 2**22 + 1).astype(np.float32)
+    for fn in (np.cos, np.sin):
+        err = np.abs(fn(x).astype(np.float64) - fn(x.astype(np.float64)))
+        assert err.max() <= feedback._TRIG_ERR * feedback._U32
+
+
+@pytest.mark.parametrize("m", [129, 387])
+def test_bulk_score_error_within_bound(region, m):
+    cfg = ArrayConfig(m, carrier_frequency=30e9)
+    cb = scheme_codebook(cfg, region, "hybrid", 6, 3)    # far-field ring included
+    vecs = _scan_vectors(cfg, region, 6)
+    near_zero = np.vstack([1e-30 * vecs[:6], 1e-200 * vecs[6:12], 1e-300 * vecs[-6:]])
+    spiky = vecs[-3:].copy()
+    spiky[:, 0] *= 1e6                                   # one entry dwarfs the rest
+    scaled = feedback._pow2_scaled(np.vstack([vecs, near_zero, spiky]))
+    bound = feedback._bulk_error_bound(cfg, scaled)
+    cw32 = feedback._bulk_conj_codewords(cfg, cb.angle_samples, cb.range_samples, 0, len(cb))
+    assert np.abs(cw32 - np.sqrt(m) * cb.codewords.conj()).max() <= feedback._EPS_TRIG
+    bulk = feedback._bulk_scores(scaled.astype(np.complex64), cw32)
+    exact = np.abs(scaled @ cb.codewords.conj().T) * np.sqrt(m)
+    assert (np.abs(bulk - exact) <= bound[:, None]).all()
+
+
+def test_scan_matches_per_ring_scan_on_dense_rings(cfg129, region):
+    # 1 angle x 4096 rings: neighbouring codewords differ by far less than
+    # the bulk margin, so each row keeps many candidates for rescoring
+    ranges = scheme_codebook(cfg129, region, "geometric", 0, 12).range_samples
+    angles = np.array([0.1])
+    vecs = _scan_vectors(cfg129, region, 6)
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, ranges)
+    gain, idx = best_codeword_scan(cfg129, vecs, angles, ranges)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+def test_scan_zero_row(cfg129, small_cb):
+    h = los_channel(cfg129, PolarCoord(0.2, 25.0)).vector
+    vecs = np.vstack([np.zeros(129, dtype=complex), h])
+    gain, idx = best_codeword_scan(cfg129, vecs, small_cb.angle_samples,
+                                   small_cb.range_samples)
+    assert gain[0] == 0.0 and idx[0] == 0
+    ref_gain, ref_idx = _scan_per_ring(cfg129, h, small_cb.angle_samples,
+                                       small_cb.range_samples)
+    assert idx[1] == ref_idx[0] and gain[1] == pytest.approx(ref_gain[0], abs=1e-12)
 
 
 def test_codebook_locations_match_location(cfg129, region, small_cb):
