@@ -124,17 +124,29 @@ def _phase_diff_exact(cfg: ArrayConfig, theta, r):
 
     Uses (r^(m))^2 - r^2 = (delta*d0)^2 - 2 r theta delta*d0 divided by
     r^(m) + r, which stays accurate for r far beyond the aperture.
-    Infinite ranges reduce to the plane-wave difference -delta*d0*theta.
+    Infinite ranges reduce to the plane-wave difference -delta*d0*theta,
+    evaluated only when some range is infinite.  The result is built in
+    place in one (..., M) array beside one temporary of the same shape.
     """
     d = antenna_offsets(cfg) * cfg.spacing
     theta = np.asarray(theta, dtype=np.float64)[..., None]
     r = np.asarray(r, dtype=np.float64)[..., None]
     far = np.isinf(r)
-    r_safe = np.where(far, 1.0, r)
-    num = d**2 - 2.0 * r_safe * theta * d
-    rm = np.sqrt(r_safe**2 + num)
-    diff = num / (rm + r_safe)
-    return np.where(far, -d * theta, diff)
+    if far.all():
+        shape = np.broadcast_shapes(theta.shape, r.shape)[:-1] + d.shape
+        return np.multiply(-d, theta, out=np.empty(shape))
+    any_far = far.any()
+    if any_far:
+        r = np.where(far, 1.0, r)
+    diff = 2.0 * r * theta * d
+    np.subtract(d**2, diff, out=diff)
+    root = r**2 + diff
+    np.sqrt(root, out=root)
+    root += r
+    diff /= root
+    if any_far:
+        np.copyto(diff, -d * theta, where=far)
+    return diff
 
 
 def _phase_diff_fresnel(cfg: ArrayConfig, theta, r):
@@ -147,8 +159,19 @@ def _phase_diff_fresnel(cfg: ArrayConfig, theta, r):
 
 
 def _steering_from_diff(cfg: ArrayConfig, diff) -> NDArray[np.complex128]:
-    "Unit-norm steering rows exp(-i k diff) / sqrt(M) from per-antenna path differences."
-    return np.exp(-1j * cfg.wavenumber * diff) / np.sqrt(cfg.num_antennas)
+    """Unit-norm steering rows exp(-i k diff) / sqrt(M) from per-antenna path differences.
+
+    Built in place in the complex result; the phase is 0 - k diff, so a zero
+    path difference gives the phase +0, and its entry the imaginary part +0.
+    """
+    diff = np.asarray(diff, dtype=np.float64)
+    cw = np.empty(diff.shape, np.complex128)
+    cw.real = 0.0
+    np.multiply(diff, cfg.wavenumber, out=cw.imag)
+    np.subtract(0.0, cw.imag, out=cw.imag)
+    np.exp(cw, out=cw)
+    cw /= np.sqrt(cfg.num_antennas)
+    return cw
 
 
 def steering_matrix_exact(cfg: ArrayConfig, theta, r) -> NDArray[np.complex128]:

@@ -115,6 +115,8 @@ _PARSERS = {
     "b1": int, "n_mc": int, "scheme": str,
 }
 
+_FLOAT_KEYS = tuple(key for key, parse in _PARSERS.items() if parse is float)
+
 
 def parse_config_text(text: str) -> dict:
     "Parse `key = value` lines; '#' starts a comment; unknown keys are errors."
@@ -158,6 +160,16 @@ def validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("seed must be >= 0")
     if c.k_users < 1 or c.l_paths < 1:
         raise ConfigError("k_users and l_paths must be >= 1")
+    bad = [key for key in _FLOAT_KEYS if not math.isfinite(getattr(c, key))]
+    if not all(map(math.isfinite, c.sweep)):
+        bad.append("sweep")
+    if bad:
+        raise ConfigError(f"values must be finite numbers: {bad}")
+    if c.carrier_ghz <= 0:
+        raise ConfigError("carrier_ghz must be > 0")
+    bad = [key for key in ("p", "q", "b2", "b1") if getattr(c, key) < 0]
+    if bad:
+        raise ConfigError(f"bit counts must be >= 0: {bad}")
     try:
         c.array_config()
     except ValueError as exc:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, steering_matrix_exact
+from .array_model import ArrayConfig, antenna_offsets, steering_matrix_exact
 from .channels import ChannelRealization, effective_channel
 from .codebooks import PolarCodebook, grid_locations, grid_phase_diff
-from .parallel import available_cpus, ordered_map
+from .parallel import available_cpus, thread_map
 
 
 class ZFSingularError(RuntimeError):
@@ -47,8 +47,10 @@ def _bulk_conj_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: 
     forms it, reduced to [-pi, pi] in float64, and only then cast to float32,
     so the float32 cos and sin see a phase whose cast costs at most pi * u.
     """
-    phase = cfg.wavenumber * grid_phase_diff(cfg, angle_samples, range_samples, start, stop)
-    turns = np.rint(phase * (1.0 / _TWO_PI))
+    phase = grid_phase_diff(cfg, angle_samples, range_samples, start, stop)
+    phase *= cfg.wavenumber
+    turns = np.multiply(phase, 1.0 / _TWO_PI)
+    np.rint(turns, out=turns)
     turns *= _TWO_PI
     phase -= turns
     phase32 = phase.astype(np.float32)
@@ -111,6 +113,55 @@ def _bulk_error_bound(cfg: ArrayConfig, rows: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rows, axis=1) * np.sqrt(cfg.num_antennas) * rel
 
 
+_MAX_RADIUS = 0.5
+"""Largest radius, in units of a codeword's norm, of the angle clusters of the
+phase-1 scan (see `_cluster_size`)."""
+
+
+def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int):
+    """Representative angle index and radius of each cluster of `group` adjacent angle samples.
+
+    Cluster c holds angle samples c * group ... (c + 1) * group - 1 (the last
+    one may hold fewer); its representative is its middle member.  At any one
+    range sample every member codeword b_i lies within the radius of the
+    representative's b_rep.  With (r^(m))^2 = (d_m - r theta)^2 + r^2 (1 - theta^2),
+    |d r^(m) / d theta| = r |d_m| / r^(m) <= |d_m| / sqrt(1 - theta^2) (the
+    plane wave's |d_m| too), and |e^{ix} - 1| <= |x|, so
+
+        ||b_i - b_rep|| <= k |theta_i - theta_rep| rms_m(|d_m|) / sqrt(1 - theta*^2)
+
+    with theta* the largest |theta| in the cluster.  The radius is that bound,
+    raised by a relative 2^-20 and an absolute 2^-24: that covers its own
+    float64 rounding, the rounding of the float64 codewords' phases (their
+    entries are exact to far better than 2^-25 for phases below 2^20 rad) and
+    of the float64 sum the radius term enters.  A cluster with
+    |theta*| >= 1 has an infinite radius.
+    """
+    theta = np.asarray(angle_samples, dtype=np.float64)
+    starts = np.arange(0, len(theta), group)
+    sizes = np.minimum(group, len(theta) - starts)
+    rep = starts + sizes // 2
+    spread = np.maximum.reduceat(np.abs(theta - np.repeat(theta[rep], sizes)), starts)
+    peak = np.maximum.reduceat(np.abs(theta), starts)
+    slope = cfg.wavenumber * np.sqrt(np.mean((antenna_offsets(cfg) * cfg.spacing) ** 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = slope * spread / np.sqrt(1.0 - peak**2)
+    return rep, np.where(peak < 1.0, radius * (1.0 + 2.0**-20) + 2.0**-24, np.inf)
+
+
+def _cluster_size(cfg: ArrayConfig, angle_samples) -> int:
+    """Angle samples per cluster of the phase-1 scan.
+
+    The largest power of two whose clusters (`_angle_clusters`) all have a
+    radius of at most `_MAX_RADIUS`, or 1 (every codeword its own cluster).
+    """
+    group = 1
+    while (2 * group <= len(angle_samples)
+           and _angle_clusters(cfg, angle_samples, 2 * group)[1].max() <= _MAX_RADIUS):
+        group *= 2
+    return group
+
+
 def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples,
              rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
     """Float64 gains |v^H b| of (row, flat index) pairs.
@@ -137,31 +188,44 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     index.  The result is that of scoring every codeword in float64 with
     `_rescore`; an all-zero row gets gain 0 at index 0.
 
-    Pass 1 scores every codeword in complex64.  Each row is scaled by a
-    power of two and cast; the flat index range is cut into chunks of
-    min(block, SCAN_CHUNK) codewords, whatever the ring structure, and each
-    chunk costs one float64 phase build, float32 cos and sin, one complex64
-    product and a threshold.  A chunk keeps, per row, each codeword whose
-    bulk score is within 2E (`_bulk_error_bound`) of the chunk's best; the
-    main thread merges chunks in flat order and drops the kept codewords
-    that fall more than 2E below the row's best so far.  Every codeword
-    whose float64 gain equals the row's maximum scores within E of it, and
-    no bulk score exceeds it by more than E, so all of them survive.
-    Chunks run on up to block // chunk threads, one per available CPU
-    (numpy's ufuncs and BLAS release the GIL), so at most `block` codewords
-    are in flight.
+    The bulk passes score in complex64.  Each row is scaled by a power of two
+    and cast; every bulk score is within E (`_bulk_error_bound`) of sqrt(M)
+    times the codeword's float64 gain.  Codewords are grouped into clusters
+    of G adjacent angle samples at one range sample (`_cluster_size`), each
+    with a representative and a radius rho (`_angle_clusters`), so no member
+    scores above its representative's exact score plus ||v|| sqrt(M) rho.
 
-    Pass 2 rescores the surviving (row, codeword) pairs in float64, in
-    flat order, in steps of at most min(block, SCAN_CHUNK) pairs on the same
-    number of threads, and keeps per row the largest gain, the lowest flat
-    index among equal gains.  Which pairs survive may vary with BLAS's
-    summation order, but neither the gain of a pair nor the set of pairs
-    reaching the maximum, so results depend neither on the number of CPUs
-    nor on BLAS's thread count.
+    Pass A (only when G > 1) scores the representatives and keeps each
+    row's best bulk score `top`.  Pass B cuts the flat index range into
+    chunks of min(block, SCAN_CHUNK) codewords, whatever the ring structure.
+    A chunk rescores the representatives of its clusters and keeps, per row,
+    the clusters with s_rep + ||v|| sqrt(M) rho >= top - 2E; a row that keeps
+    none of them cannot reach its float64 maximum in the chunk.  The chunk
+    builds its codewords only if some row keeps one of its clusters, scores
+    them against those rows with one complex64 product, and keeps, per row,
+    each codeword within 2E of the best of `top` and the chunk's best.  The
+    main thread takes the chunks in flat order and drops, as each arrives,
+    its codewords more than 2E below the row's best bulk score so far, and
+    once every chunk is in, those more than 2E below the final best.  A
+    codeword whose float64 gain equals the row's maximum scores within E of
+    it, and no bulk score exceeds it by more than E, so all of them survive.
+    With G = 1 there is no pass A and every row meets every chunk.  Both
+    passes run on up to block // chunk threads, one per available CPU
+    (numpy's ufuncs and BLAS release the GIL); a job builds at most `chunk`
+    codewords at a time, so at most `block` are in flight.
+
+    Pass C rescores the surviving (row, codeword) pairs in float64, in flat
+    order, in steps of at most min(block, SCAN_CHUNK) pairs on the same
+    threads, and keeps per row the largest gain, the lowest flat index among
+    equal gains.  Which pairs survive may vary with BLAS's summation order,
+    but neither the gain of a pair nor the set of pairs reaching the maximum,
+    so results depend neither on the number of CPUs nor on BLAS's thread
+    count.
     """
     vectors = np.atleast_2d(vectors)
     n = vectors.shape[0]
-    total = len(angle_samples) * len(range_samples)
+    nq = len(range_samples)
+    total = len(angle_samples) * nq
     chunk = min(block, SCAN_CHUNK)
     starts = range(0, total, chunk)
     best = np.zeros(n)
@@ -171,32 +235,61 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     scaled = _pow2_scaled(vectors[live])
     margin = 2.0 * _bulk_error_bound(cfg, scaled)
     rows32 = scaled.astype(np.complex64)
+    everyone = np.arange(len(live))
+
+    group = _cluster_size(cfg, angle_samples)
+    rep, radius = _angle_clusters(cfg, angle_samples, group)
+    rep_angles = np.asarray(angle_samples)[rep]
+    reach = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
+
+    def rep_scores(lo, hi):
+        "Bulk scores of every row against representatives lo..hi-1 of the (cluster, ring) grid."
+        return _bulk_scores(rows32, _bulk_conj_codewords(cfg, rep_angles, range_samples, lo, hi))
+
+    def rows_keeping(start, stop):
+        "The rows that keep a cluster with a member among codewords start..stop-1."
+        angle, ring = np.divmod(np.arange(start, stop), nq)
+        reps = np.unique(angle // group * nq + ring)
+        keeps = np.zeros(len(live), dtype=bool)
+        for part in np.split(reps, np.flatnonzero(np.diff(reps // chunk)) + 1):
+            s = rep_scores(part[0], part[-1] + 1)[:, part - part[0]]
+            s += reach[:, None] * radius[part // nq]
+            keeps |= (s >= floor[:, None]).any(axis=1)
+        return np.flatnonzero(keeps)
 
     def score(start):
-        cw = _bulk_conj_codewords(cfg, angle_samples, range_samples, start,
-                                  min(start + chunk, total))
-        g = _bulk_scores(rows32, cw)
-        top = g.max(axis=1)
-        row, k = np.nonzero(g >= (top - margin)[:, None])
-        return top, row, start + k, g[row, k]
+        stop = min(start + chunk, total)
+        rows = rows_keeping(start, stop) if group > 1 else everyone
+        if not len(rows):
+            return rows, np.empty(0), rows, rows, np.empty(0)
+        cw = _bulk_conj_codewords(cfg, angle_samples, range_samples, start, stop)
+        g = _bulk_scores(rows32 if len(rows) == len(live) else rows32[rows], cw)
+        chunk_top = g.max(axis=1)
+        row, k = np.nonzero(g >= (np.maximum(chunk_top, top[rows]) - margin[rows])[:, None])
+        return rows, chunk_top, rows[row], start + k, g[row, k]
 
     top = np.full(len(live), -np.inf)
-    rows = flats = np.empty(0, dtype=np.int64)
-    scores = np.empty(0)
     workers = min(available_cpus(), block // chunk, len(starts))
-    for chunk_top, row, flat, s in ordered_map(score, starts, workers):
-        np.maximum(top, chunk_top, out=top)
-        rows, flats, scores = (np.concatenate(pair) for pair in
-                               ((rows, row), (flats, flat), (scores, s)))
-        keep = scores >= (top - margin)[rows]
-        rows, flats, scores = rows[keep], flats[keep], scores[keep]
-
-    order = np.lexsort((rows, flats))
-    rows, flats = live[rows[order]], flats[order]
-    steps = range(0, len(rows), chunk)
-    rescored = ordered_map(lambda i: _rescore(cfg, vectors, angle_samples, range_samples,
-                                              rows[i:i + chunk], flats[i:i + chunk]),
-                           steps, min(workers, len(steps)))
+    with thread_map(workers) as pmap:
+        if group > 1:
+            n_reps = len(rep) * nq
+            for part_top in pmap(lambda lo: rep_scores(lo, min(lo + chunk, n_reps)).max(axis=1),
+                                 range(0, n_reps, chunk)):
+                np.maximum(top, part_top, out=top)
+        floor = top - margin
+        final = top.copy()
+        parts = [(everyone[:0], everyone[:0], np.empty(0))]
+        for rows, chunk_top, row, flat, s in pmap(score, starts):
+            final[rows] = np.maximum(final[rows], chunk_top)
+            kept = s >= (final - margin)[row]
+            parts.append((row[kept], flat[kept], s[kept]))
+        rows, flats, scores = map(np.concatenate, zip(*parts))
+        keep = scores >= (final - margin)[rows]
+        order = np.lexsort((rows[keep], flats[keep]))
+        rows, flats = live[rows[keep][order]], flats[keep][order]
+        rescored = list(pmap(lambda i: _rescore(cfg, vectors, angle_samples, range_samples,
+                                                rows[i:i + chunk], flats[i:i + chunk]),
+                             range(0, len(rows), chunk)))
     gains = np.concatenate([np.empty(0), *rescored])
     pick = np.lexsort((flats, -gains, rows))
     first = np.ones(len(pick), dtype=bool)

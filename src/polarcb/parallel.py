@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 
 def available_cpus() -> int:
@@ -18,13 +19,21 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def ordered_map(fn, items, workers: int):
-    """Yield fn(item) for every item, in item order, computed on `workers` threads.
+@contextmanager
+def thread_map(workers: int):
+    """An ordered map for the `with` block: map(fn, items) yields fn(item) in item order.
 
-    With one worker (or fewer) the calls run inline, without a pool.
+    The calls run on `workers` threads that serve every map made in the
+    block; with one worker (or fewer) they run inline, without a pool.
     """
     if workers <= 1:
-        yield from map(fn, items)
+        yield map
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items)
+        yield pool.map
+
+
+def ordered_map(fn, items, workers: int):
+    "Yield fn(item) for every item, in item order, computed on `workers` threads."
+    with thread_map(workers) as pmap:
+        yield from pmap(fn, items)

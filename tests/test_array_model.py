@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from polarcb import (ArrayConfig, PolarCoord, PolarRegion, antenna_offsets, beamforming_gain,
                      far_field_vector, steering_matrix_exact, steering_matrix_fresnel,
-                     steering_vector_exact, steering_vector_fresnel)
+                     scheme_codebook, steering_vector_exact, steering_vector_fresnel)
+from polarcb.array_model import _phase_diff_exact
+from polarcb.codebooks import grid_codewords, grid_phase_diff
 
 
 def test_config_derivations(cfg387):
@@ -137,3 +139,42 @@ def test_infinite_range_matches_far_field(cfg387):
     ff = far_field_vector(cfg387, 0.25)
     assert np.allclose(inf_exact, ff, atol=1e-14)
     assert np.allclose(inf_fresnel, ff, atol=1e-14)
+
+
+def _old_phase_diff_exact(cfg, theta, r):
+    "The path-difference formula as it stood before the in-place build, kept as a reference."
+    d = antenna_offsets(cfg) * cfg.spacing
+    theta = np.asarray(theta, dtype=np.float64)[..., None]
+    r = np.asarray(r, dtype=np.float64)[..., None]
+    far = np.isinf(r)
+    r_safe = np.where(far, 1.0, r)
+    num = d**2 - 2.0 * r_safe * theta * d
+    rm = np.sqrt(r_safe**2 + num)
+    diff = num / (rm + r_safe)
+    return np.where(far, -d * theta, diff)
+
+
+@pytest.mark.parametrize("scheme", ["geometric", "hybrid", "dft"])
+@pytest.mark.parametrize("m", [1, 64, 387])
+def test_phase_diff_and_codewords_bit_identical_to_old_formula(region, scheme, m):
+    cfg = ArrayConfig(m, carrier_frequency=30e9)
+    cb = scheme_codebook(cfg, region, scheme, 6, 3)
+    theta, r = cb.locations(np.arange(len(cb)))
+    old = _old_phase_diff_exact(cfg, theta, r)
+    assert grid_phase_diff(cfg, cb.angle_samples, cb.range_samples, 0, len(cb)).tobytes() \
+        == old.tobytes()
+    old_cw = np.exp(-1j * cfg.wavenumber * old) / np.sqrt(m)
+    assert grid_codewords(cfg, cb.angle_samples, cb.range_samples, 0, len(cb)).tobytes() \
+        == old_cw.tobytes()
+    assert steering_matrix_exact(cfg, theta, r).tobytes() == old_cw.tobytes()
+
+
+@pytest.mark.parametrize("theta,r", [
+    (0.25, np.inf), (0.3, 10.0), (np.array([0.0, 0.3, -0.9]), 12.0),
+    (-0.4, np.array([5.0, np.inf, 1e12])), (np.zeros((2, 3)), np.full((2, 3), np.inf)),
+    (np.array([[0.1], [0.2]]), np.array([8.0, np.inf, 30.0])),
+])
+def test_phase_diff_broadcasting_bit_identical_to_old_formula(cfg387, theta, r):
+    old = _old_phase_diff_exact(cfg387, theta, r)
+    new = _phase_diff_exact(cfg387, theta, r)
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()

@@ -225,6 +225,25 @@ def test_cli_bad_distribution_is_config_error(tmp_path, lines):
     assert _main_within(["simulate", "--config", _write(tmp_path, text)], 10.0) == 2
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("carrier_ghz = 0", "carrier_ghz"),          # was a ZeroDivisionError
+    ("p = -1", "bit counts"),                    # were ValueError tracebacks
+    ("q = -2", "bit counts"),
+    ("b2 = -1", "bit counts"),
+    ("b1 = -1", "bit counts"),
+    ("r_max = inf", "finite"),                   # was an OverflowError
+    ("snr_db = inf", "finite"),                  # wrote a nan mean with exit 0
+    ("kappa_db = nan", "finite"),
+    ("sweep = nan", "finite"),                   # ran with exit 0
+])
+def test_cli_out_of_range_numbers_are_config_errors(tmp_path, capsys, setting, message):
+    key = setting.split("=")[0].strip()
+    text = "\n".join(line for line in SMALL.splitlines()
+                     if line.split("=")[0].strip() != key) + f"\n{setting}\n"
+    assert _main_within(["simulate", "--config", _write(tmp_path, text)], 10.0) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_truncation_mass_floor():
     ok = ExperimentConfig(distribution="gaussian", gauss_mean=130.0, gauss_std=5.0)
     validate_config(ok)                  # 2.3% of the law inside [4, 120]

@@ -1,13 +1,14 @@
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import polarcb.feedback as feedback
 
-from polarcb import (ArrayConfig, PolarCoord, ZFSingularError, los_channel,
+from polarcb import (ArrayConfig, PolarCoord, PolarRegion, ZFSingularError, los_channel,
                      multipath_channel, multipath_channel_equal, multipath_feedback, phase1_select,
                      phase2_select, run_protocol, rvq_generate, scheme_codebook,
                      steering_vector_exact, user_rate, zf_beamformer)
@@ -258,6 +259,126 @@ def test_scan_zero_row(cfg129, small_cb):
     ref_gain, ref_idx = _scan_per_ring(cfg129, h, small_cb.angle_samples,
                                        small_cb.range_samples)
     assert idx[1] == ref_idx[0] and gain[1] == pytest.approx(ref_gain[0], abs=1e-12)
+
+
+def _unpruned(monkeypatch):
+    "Run the scan with one codeword per cluster: no pass A, every row meets every chunk."
+    monkeypatch.setattr(feedback, "_cluster_size", lambda cfg, angle_samples: 1)
+
+
+@pytest.mark.parametrize("scheme", ["geometric", "hyperbolic", "uniform", "dft", "hybrid"])
+def test_pruned_scan_matches_per_ring_scan(cfg129, region, monkeypatch, scheme):
+    # p = 10, q = 3: 8192 codewords in clusters of 4 angles (32 on the dft grid)
+    cb = scheme_codebook(cfg129, region, scheme, 10, 3)
+    assert feedback._cluster_size(cfg129, cb.angle_samples) > 1
+    vecs = _scan_vectors(cfg129, region, 12)
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+    _unpruned(monkeypatch)
+    full_gain, full_idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert np.array_equal(idx, full_idx)
+    assert gain.tobytes() == full_gain.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["geometric", "dft", "hybrid"])
+def test_cluster_radius_bounds_member_distance(cfg129, region, scheme):
+    cb = scheme_codebook(cfg129, region, scheme, 10, 3)
+    group = feedback._cluster_size(cfg129, cb.angle_samples)
+    rep, radius = feedback._angle_clusters(cfg129, cb.angle_samples, group)
+    assert radius.max() <= feedback._MAX_RADIUS
+    cluster = np.arange(len(cb.angle_samples)) // group
+    for r in cb.range_samples:
+        members = steering_matrix_exact(cfg129, cb.angle_samples, np.full(len(cluster), r))
+        dist = np.linalg.norm(members - members[rep][cluster], axis=1)
+        assert (dist <= radius[cluster]).all()
+
+
+def _edge_member_row(cfg):
+    """Angles [0, 0.003, 0.3, 0.303] at 30 m, clusters {0, 1} and {2, 3} with
+    representatives 1 and 3, and a row whose best codeword, 0, is nearly
+    orthogonal to its representative while representative 3 scores second."""
+    angles, ranges = np.array([0.0, 0.003, 0.3, 0.303]), np.array([30.0])
+    b = steering_matrix_exact(cfg, angles, np.full(4, 30.0))
+    return angles, ranges, b[0] - np.vdot(b[1], b[0]) * b[1] + 0.09 * b[3]
+
+
+def test_scan_gate_catches_halved_radius(cfg129, monkeypatch):
+    angles, ranges, v = _edge_member_row(cfg129)
+    assert feedback._cluster_size(cfg129, angles) == 2
+    _, ref_idx = _scan_per_ring(cfg129, v, angles, ranges)
+    assert ref_idx[0] == 0
+    # block 2: each cluster is a chunk of its own, so its pruning shows
+    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=2)
+    assert idx[0] == 0
+    clusters = feedback._angle_clusters
+    monkeypatch.setattr(feedback, "_angle_clusters",
+                        lambda *args: (lambda rep, radius: (rep, radius / 2))(*clusters(*args)))
+    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=2)
+    assert idx[0] == 3
+
+
+def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
+    # grid point 0.1 at flat 0, 1, 6 and 7, so clusters 0 and 3 tie in float64.
+    # Every bulk product is pushed 0.9 E down in the first half of its columns
+    # and 0.9 E up in the second, a rounding error the margin must absorb:
+    # pass A sees cluster 3's representative 1.8 E above cluster 0's, and
+    # chunk 0 (clusters 0 and 1) sees cluster 0's low, yet cluster 0 holds the
+    # lowest tied index and has to be kept
+    angles = np.array([0.1, 0.1, -0.3, -0.298, 0.35, 0.352, 0.1, 0.1])
+    ranges = np.array([30.0])
+    assert feedback._cluster_size(cfg129, angles) == 2
+    scores = feedback._bulk_scores
+
+    def skewed(rows32, cw32):
+        bound = feedback._bulk_error_bound(cfg129, rows32.astype(np.complex128))
+        sign = np.where(np.arange(len(cw32)) < len(cw32) / 2, -0.9, 0.9)
+        return scores(rows32, cw32) + bound[:, None] * sign
+
+    monkeypatch.setattr(feedback, "_bulk_scores", skewed)
+    h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
+    gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=4)
+    assert idx[0] == 0
+    assert gain[0] == pytest.approx(np.linalg.norm(h))
+
+
+def test_scan_skips_chunks_no_row_keeps(cfg129, monkeypatch):
+    # one line-of-sight row at angle index ~3600 of 6000: only chunk 3 of the
+    # six 1024-codeword chunks is built in full
+    angles = np.linspace(-0.5, 0.5, 6000)
+    built = []
+    build = feedback._bulk_conj_codewords
+
+    def recorded(cfg, angle_samples, range_samples, start, stop):
+        if angle_samples is angles:
+            built.append(start)
+        return build(cfg, angle_samples, range_samples, start, stop)
+
+    monkeypatch.setattr(feedback, "_bulk_conj_codewords", recorded)
+    h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
+    gain, idx = best_codeword_scan(cfg129, h, angles, np.array([30.0]))
+    ref_gain, ref_idx = _scan_per_ring(cfg129, h, angles, np.array([30.0]))
+    assert built == [3072]
+    assert idx[0] == ref_idx[0] and abs(gain[0] - ref_gain[0]) <= 1e-12
+
+
+def test_scan_angles_reaching_endfire(cfg129):
+    # theta = 1 has an unbounded slope: its cluster radius is infinite, and
+    # near-endfire grids fall back to one codeword per cluster
+    wide = scheme_codebook(cfg129, PolarRegion(-1.0, 1.0, 4.0, 120.0), "geometric", 9, 2)
+    endfire = np.linspace(0.9, 1.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert feedback._cluster_size(cfg129, wide.angle_samples) == 1
+        assert feedback._cluster_size(cfg129, endfire) == 1
+        assert feedback._angle_clusters(cfg129, endfire, 2)[1][-1] == np.inf
+        h = los_channel(cfg129, PolarCoord(0.97, 20.0)).vector
+        for angles, ranges in ((wide.angle_samples, wide.range_samples),
+                               (endfire, np.array([10.0, 20.0, np.inf]))):
+            gain, idx = best_codeword_scan(cfg129, h, angles, ranges)
+            ref_gain, ref_idx = _scan_per_ring(cfg129, h, angles, ranges)
+            assert idx[0] == ref_idx[0] and abs(gain[0] - ref_gain[0]) <= 1e-12
 
 
 def test_codebook_locations_match_location(cfg129, region, small_cb):
