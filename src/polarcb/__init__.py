@@ -14,10 +14,10 @@ from .codebooks import (LloydConvergenceError, PolarCodebook, assemble_codebook,
 from .distributions import (Empirical, GaussianMixtureRange, HotSpotRange,
                             TruncatedGaussianRange, UniformPolar, load_empirical_csv,
                             range_pdf, sample_locations)
-from .feedback import (FeedbackOutcome, RVQCodebook, ZFSingularError, multipath_feedback,
-                       phase1_select, phase2_select, run_protocol, rvq_generate, user_rate,
-                       zf_beamformer)
-from .allocation import AllocationResult, estimate_gain_mc, optimize_allocation
+from .feedback import (FeedbackOutcome, ProtocolBatch, RVQCodebook, ZFSingularError,
+                       multipath_feedback, phase1_select, phase2_select, run_protocol,
+                       run_protocol_batch, rvq_generate, user_rate, zf_beamformer, zf_rates)
+from .allocation import AllocationResult, estimate_gain_mc, mean_best_gain, optimize_allocation
 from . import gain_theory
 
 __all__ = [name for name in dir() if not name.startswith("_")]

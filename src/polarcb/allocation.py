@@ -1,4 +1,4 @@
-"""Exhaustive feedback-bit allocation between angle and range sampling."""
+"""Monte-Carlo codebook gain and exhaustive feedback-bit allocation between angle and range."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .array_model import ArrayConfig, steering_matrix_exact
 from .codebooks import PolarCodebook, scheme_codebook
-from .distributions import DistributionSpec, Empirical, sample_locations
+from .distributions import DistributionSpec, Empirical, mean_stderr, sample_locations
 from .feedback import best_codeword_scan
 
 
@@ -26,26 +26,24 @@ class AllocationResult:
         return {(p, q): (g, se) for p, q, g, se in self.gain_table}
 
 
-def estimate_gain_mc(codebook: PolarCodebook, dist: DistributionSpec, n_mc: int,
-                     seed) -> tuple[float, float]:
-    """Monte-Carlo expected best-codeword gain for line-of-sight users.
+def mean_best_gain(codebook: PolarCodebook, points: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of max_j |a(user)^H b_j| over line-of-sight users.
 
-    Draws `n_mc` user locations, computes max_j |a(user)^H b_j| per draw and
-    returns (mean, standard error).  Channel scaling drops out, so the scan
-    runs directly on unit-norm steering vectors.
+    `points` is an (n, 2) array of user (theta, r).  Channel scaling drops
+    out, so the scan runs directly on unit-norm steering vectors.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    pts = sample_locations(dist, n_mc, seed)
-    return _gain_from_points(codebook, pts)
-
-
-def _gain_from_points(codebook: PolarCodebook, pts: np.ndarray) -> tuple[float, float]:
-    vecs = steering_matrix_exact(codebook.cfg, pts[:, 0], pts[:, 1])
+    vecs = steering_matrix_exact(codebook.cfg, points[:, 0], points[:, 1])
     gains, _ = best_codeword_scan(codebook.cfg, vecs, codebook.angle_samples,
                                   codebook.range_samples)
-    se = gains.std(ddof=1) / np.sqrt(len(gains)) if len(gains) > 1 else 0.0
-    return float(gains.mean()), float(se)
+    return mean_stderr(gains)
+
+
+def estimate_gain_mc(codebook: PolarCodebook, dist: DistributionSpec, n_mc: int,
+                     seed) -> tuple[float, float]:
+    "`mean_best_gain` over `n_mc` user locations drawn from `dist`."
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
+    return mean_best_gain(codebook, sample_locations(dist, n_mc, seed))
 
 
 def optimize_allocation(b1: int, dist: DistributionSpec, cfg: ArrayConfig, n_mc: int,
@@ -67,7 +65,7 @@ def optimize_allocation(b1: int, dist: DistributionSpec, cfg: ArrayConfig, n_mc:
     for p in range(b1 + 1):
         q = b1 - p
         cb = scheme_codebook(cfg, region, scheme, p, q, lloyd_data=lloyd_data)
-        g, se = _gain_from_points(cb, pts)
+        g, se = mean_best_gain(cb, pts)
         table.append((p, q, g, se))
         if best is None or g > best[2] or (g == best[2] and p > best[0]):
             best = (p, q, g, se)

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration error (bad config file, unknown keys,
-unwritable output), 3 numerical failure (singular zero forcing, quantizer
-non-convergence).
+a command's own limits, unwritable output), 3 numerical failure (singular zero
+forcing, quantizer non-convergence).
 """
 
 from __future__ import annotations
@@ -42,26 +42,19 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    writers = {"simulate": run_experiment, "allocate": run_allocation, "theory": theory_report}
     try:
-        if args.command == "simulate":
-            text = run_experiment(config)
-            if not config.out:
-                sys.stdout.write(text)
-        elif args.command == "codebook":
+        if args.command == "codebook":
             csv_path, bin_path = emit_codebook(config)
             print(f"wrote {csv_path} and {bin_path}")
-        elif args.command == "allocate":
-            text = run_allocation(config)
-            if not config.out:
-                sys.stdout.write(text)
-        elif args.command == "theory":
-            text = theory_report(config)
+        else:
+            text = writers[args.command](config)
             if not config.out:
                 sys.stdout.write(text)
     except (ZFSingularError, LloydConvergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return 0

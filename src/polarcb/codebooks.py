@@ -11,7 +11,8 @@ Lloyd iterations in the matching metric.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,16 @@ import numpy as np
 from .array_model import ArrayConfig, PolarRegion, _phase_diff_exact, _steering_from_diff
 
 
+def _sample_count(bits: int) -> int:
+    "2^bits, the size of a `bits`-bit sampling set."
+    if bits < 0:
+        raise ValueError(f"bit counts must be >= 0, got {bits}")
+    return 2**bits
+
+
 def uniform_angle_samples(region: PolarRegion, p: int) -> np.ndarray:
     "2^p equally spaced spatial angles theta_min + i * span/(2^p + 1), i = 1..2^p."
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    n = 2**p
+    n = _sample_count(p)
     step = region.angle_span / (n + 1)
     return region.theta_min + step * np.arange(1, n + 1)
 
@@ -34,18 +40,14 @@ def geometric_range_samples(region: PolarRegion, q: int) -> np.ndarray:
     Sample i is the arithmetic midpoint of the log-uniform cell
     [r_min * ratio^(i-1), r_min * ratio^i].
     """
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    n = 2**q
+    n = _sample_count(q)
     ratio = (region.r_max / region.r_min) ** (1.0 / n)
     return (region.r_min / 2.0) * (1.0 / ratio + 1.0) * ratio ** np.arange(1, n + 1)
 
 
 def hyperbolic_range_samples(region: PolarRegion, q: int) -> np.ndarray:
     "2^q ranges equally spaced in 1/r over [r_min, r_max], sorted ascending."
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    n = 2**q
+    n = _sample_count(q)
     ratio2 = region.r_max / region.r_min
     i = np.arange(1, n + 1)
     return np.sort(n * region.r_max / (i * (ratio2 - 1.0) + n))
@@ -53,9 +55,7 @@ def hyperbolic_range_samples(region: PolarRegion, q: int) -> np.ndarray:
 
 def uniform_range_samples(region: PolarRegion, q: int) -> np.ndarray:
     "Midpoints of 2^q equal-width cells over [r_min, r_max]."
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    n = 2**q
+    n = _sample_count(q)
     width = region.range_span / n
     return region.r_min + width * (np.arange(n) + 0.5)
 
@@ -95,6 +95,10 @@ def _lloyd_1d(values: np.ndarray, n_codes: int, tolerance: float, max_iters: int
     the movement criterion alone lets the codes random-walk along the flat
     valley of near-optimal configurations).
     """
+    if len(values) < n_codes:
+        raise ValueError(f"need at least {n_codes} data points")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     values = np.sort(np.asarray(values, dtype=np.float64))
     codes = np.sort(np.asarray(init, dtype=np.float64))
     history = []
@@ -135,7 +139,7 @@ def _lloyd_1d(values: np.ndarray, n_codes: int, tolerance: float, max_iters: int
     raise LloydConvergenceError(f"no convergence after {max_iters} iterations", codes)
 
 
-def lloyd_range_samples(data, q: int, tolerance: float, max_iters: int = 500,
+def lloyd_range_samples(data, q: int, tolerance: float, max_iters: int = 5000,
                         init: str = "geometric", seed=None, return_history: bool = False):
     """Range samples adapted to empirical range data, quantized in 1/r.
 
@@ -144,11 +148,7 @@ def lloyd_range_samples(data, q: int, tolerance: float, max_iters: int = 500,
     distributed data this settles on the geometric construction.
     """
     data = np.asarray(data, dtype=np.float64)
-    n = 2**q
-    if len(data) < n:
-        raise ValueError("need at least 2^q data points")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    n = _sample_count(q)
     r_lo, r_hi = float(data.min()), float(data.max())
     region = PolarRegion(-1.0, 1.0, r_lo, max(r_hi, r_lo * (1 + 1e-12)))
     if init == "geometric":
@@ -166,15 +166,11 @@ def lloyd_range_samples(data, q: int, tolerance: float, max_iters: int = 500,
     return (samples, inv_hist) if return_history else samples
 
 
-def lloyd_angle_samples(data, p: int, tolerance: float, max_iters: int = 500,
+def lloyd_angle_samples(data, p: int, tolerance: float, max_iters: int = 5000,
                         init: str = "uniform", seed=None, return_history: bool = False):
     "Angle samples adapted to empirical angle data, quantized in plain |theta - c|."
     data = np.asarray(data, dtype=np.float64)
-    n = 2**p
-    if len(data) < n:
-        raise ValueError("need at least 2^p data points")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    n = _sample_count(p)
     lo, hi = float(data.min()), float(data.max())
     if init == "uniform":
         span = max(hi - lo, 1e-12)
@@ -221,6 +217,10 @@ def grid_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
                                                     start, stop))
 
 
+_EXPORT_BLOCK = 4096
+"Codewords per block of `PolarCodebook.save_binary`."
+
+
 @dataclass(frozen=True, eq=False)
 class PolarCodebook:
     """Cartesian product of angle and range samples, one steering codeword each.
@@ -233,7 +233,6 @@ class PolarCodebook:
     cfg: ArrayConfig
     angle_samples: np.ndarray
     range_samples: np.ndarray
-    _cache: list = field(default_factory=lambda: [None], repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "angle_samples", np.asarray(self.angle_samples, dtype=np.float64))
@@ -256,11 +255,8 @@ class PolarCodebook:
 
     @property
     def codewords(self) -> np.ndarray:
-        "Materialized (len, M) codeword array, built on first access."
-        if self._cache[0] is None:
-            self._cache[0] = grid_codewords(self.cfg, self.angle_samples,
-                                            self.range_samples, 0, len(self))
-        return self._cache[0]
+        "The (len, M) codeword array, built anew on every access (len * M * 16 bytes)."
+        return grid_codewords(self.cfg, self.angle_samples, self.range_samples, 0, len(self))
 
     def codeword(self, i: int, j: int) -> np.ndarray:
         flat = self.flat_index(i, j)
@@ -276,28 +272,28 @@ class PolarCodebook:
                 fh.write(f"{flat},{th!r},{rr!r}\n")
 
     def save_binary(self, path: str | Path) -> None:
-        "Header (M, angle count, range count as little-endian u32) then interleaved re/im f64."
-        cw = self.codewords
+        """Header (M, angle count, range count as little-endian u32) then interleaved re/im f64.
+
+        Codewords are built and written `_EXPORT_BLOCK` at a time.
+        """
         with open(path, "wb") as fh:
             fh.write(struct.pack("<III", self.cfg.num_antennas,
                                  len(self.angle_samples), len(self.range_samples)))
-            inter = np.empty((cw.shape[0], cw.shape[1] * 2))
-            inter[:, 0::2] = cw.real
-            inter[:, 1::2] = cw.imag
-            fh.write(inter.astype("<f8").tobytes())
+            for start in range(0, len(self), _EXPORT_BLOCK):
+                cw = grid_codewords(self.cfg, self.angle_samples, self.range_samples, start,
+                                    min(start + _EXPORT_BLOCK, len(self)))
+                fh.write(cw.astype("<c16", copy=False).tobytes())
 
 
 def assemble_codebook(cfg: ArrayConfig, angle_set, range_set) -> PolarCodebook:
-    "Materialize the codebook for the given sampling sets."
-    cb = PolarCodebook(cfg, np.asarray(angle_set), np.asarray(range_set))
-    cb.codewords
-    return cb
+    "Deprecated: the codebook no longer caches its codewords; construct `PolarCodebook`."
+    warnings.warn("assemble_codebook is deprecated; construct PolarCodebook directly",
+                  DeprecationWarning, stacklevel=2)
+    return PolarCodebook(cfg, angle_set, range_set)
 
 
 def dft_angle_codebook(cfg: ArrayConfig, region: PolarRegion, total_bits: int) -> PolarCodebook:
     "2^total_bits uniform angle samples, all at infinite range (far-field codewords)."
-    if total_bits < 0:
-        raise ValueError("total_bits must be >= 0")
     angles = uniform_angle_samples(region, total_bits)
     return PolarCodebook(cfg, angles, np.array([np.inf]))
 

@@ -8,6 +8,7 @@ functions of (spec, count, seed).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -166,6 +167,13 @@ def sample_locations(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     else:
         raise TypeError(f"unknown distribution spec {type(spec).__name__}")
     return np.column_stack([theta, r])
+
+
+def mean_stderr(values) -> tuple[float, float]:
+    "Sample mean and its standard error std(ddof=1) / sqrt(n); one sample has stderr 0.0."
+    values = np.asarray(values)
+    se = values.std(ddof=1) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    return float(values.mean()), float(se)
 
 
 # scipy.stats takes about a second to import; these two equal its norm.cdf and

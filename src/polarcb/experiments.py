@@ -16,21 +16,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import ArrayConfig, PolarCoord, PolarRegion, steering_matrix_exact
-from .allocation import optimize_allocation
+from .array_model import ArrayConfig, PolarCoord, PolarRegion
+from .allocation import mean_best_gain, optimize_allocation
 from .channels import los_channel, multipath_channel, multipath_channel_equal
 from .codebooks import SCHEMES, PolarCodebook, scheme_codebook
 from .distributions import (MIN_TRUNCATION_MASS, DistributionSpec, GaussianMixtureRange,
                             HotSpotRange, TruncatedGaussianRange, UniformPolar,
-                            load_empirical_csv, sample_locations, truncation_mass)
-from .feedback import MAX_ZF_CONDITION, RVQCodebook, best_codeword_scan, rvq_generate
+                            load_empirical_csv, mean_stderr, sample_locations, truncation_mass)
+# bound under this name, which the benchmark traces as the beamforming layer
+from .feedback import run_protocol_batch as _batched_beamformers
+from .feedback import multipath_feedback, rvq_generate, zf_rates
 from .parallel import available_cpus, ordered_map
 from . import gain_theory
 
 EXPERIMENTS = ("rate_vs_snr", "gain_vs_q", "gain_vs_m", "gain_vs_rmax", "multipath_gain_vs_q")
 
-_INTEGER_SWEEPS = ("gain_vs_q", "gain_vs_m", "multipath_gain_vs_q")
-"Experiments whose sweep values are bit counts or antenna counts."
+_INTEGER_SWEEPS = {"gain_vs_q": 0, "gain_vs_m": 1, "multipath_gain_vs_q": 0}
+"Experiments whose sweep values are bit counts (q) or antenna counts (M), with their least value."
 
 CSV_HEADER = "sweep_value,scheme,metric,mean,stderr,n_trials,seed"
 
@@ -182,10 +184,17 @@ def validate_config(c: ExperimentConfig) -> None:
     bad = [s for s in c.schemes if s not in valid]
     if bad:
         raise ConfigError(f"unknown schemes: {bad}")
+    if c.scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme '{c.scheme}'")
     if c.sweep and list(c.sweep) != sorted(set(c.sweep)):
         raise ConfigError("sweep values must be strictly increasing")
-    if c.experiment in _INTEGER_SWEEPS and not all(float(v).is_integer() for v in c.sweep):
-        raise ConfigError(f"{c.experiment} sweeps integers; got {list(c.sweep)}")
+    least = _INTEGER_SWEEPS.get(c.experiment)
+    if least is not None and not all(float(v).is_integer() and v >= least for v in c.sweep):
+        raise ConfigError(f"{c.experiment} sweeps integers >= {least}; got {list(c.sweep)}")
+    swept_q = c.experiment in ("gain_vs_q", "multipath_gain_vs_q") and c.sweep
+    if (("hybrid" in c.schemes and min(c.sweep if swept_q else (c.q,)) < 1)
+            or (c.scheme == "hybrid" and c.q < 1)):
+        raise ConfigError("the hybrid scheme needs q >= 1, at q and at every swept q")
     if c.experiment != "rate_vs_snr" and "full_csi" in c.schemes:
         raise ConfigError("full_csi only applies to rate experiments")
 
@@ -231,14 +240,13 @@ def _parallel_trials(fn, n_trials: int, threads: int):
     return [result for part in parts for result in part]
 
 
-def build_scheme_codebook(c: ExperimentConfig, scheme: str, p: int, q: int,
-                          region: PolarRegion | None = None) -> PolarCodebook:
-    region = region or c.region()
+def build_scheme_codebook(c: ExperimentConfig, scheme: str) -> PolarCodebook:
+    "The named scheme's codebook at the config's p and q."
     lloyd_data = None
     if scheme == "extended":
         pts = sample_locations(c.distribution_spec(), c.n_train, stream_seed(c.seed, "train"))
         lloyd_data = pts[:, 1]
-    return scheme_codebook(c.array_config(), region, scheme, p, q,
+    return scheme_codebook(c.array_config(), c.region(), scheme, c.p, c.q,
                            lloyd_data=lloyd_data, lloyd_tolerance=c.lloyd_tolerance)
 
 
@@ -268,46 +276,6 @@ def draw_channels(c: ExperimentConfig, spec: DistributionSpec, trial: int,
     return channels, coords
 
 
-def _batched_beamformers(c: ExperimentConfig, vectors: np.ndarray, coords: np.ndarray,
-                         cb1: PolarCodebook | None, cb2: RVQCodebook | None, full_csi: bool):
-    "Vectorized phase 1 + 2 + ZF across trials; vectors is (T, K, M)."
-    cfg = c.array_config()
-    n_trials, k_users, m = vectors.shape
-    if full_csi:
-        f_rf = steering_matrix_exact(cfg, coords[..., 0], coords[..., 1])
-    else:
-        flat = vectors.reshape(n_trials * k_users, m)
-        _, idx = best_codeword_scan(cfg, flat, cb1.angle_samples, cb1.range_samples)
-        f_rf = steering_matrix_exact(cfg, *cb1.locations(idx)).reshape(n_trials, k_users, m)
-    f_rf = np.swapaxes(f_rf, 1, 2)                       # (T, M, K)
-    g = np.einsum("tkm,tml->tkl", vectors.conj(), f_rf)  # rows h_k^H F_RF
-    if full_csi:
-        ghat = g
-    else:
-        scores = np.abs(np.einsum("cj,tkj->tkc", cb2.codewords, g))
-        pick = np.argmax(scores, axis=2)
-        ghat = cb2.codewords[pick].conj()
-    # rank-deficient trials (users quantized onto one codeword) are kept but
-    # regularized: the pinv drops the shared direction and those users see
-    # outage-level rates instead of aborting the sweep
-    f_bb = np.linalg.pinv(ghat, rcond=1.0 / MAX_ZF_CONDITION)
-    norms = np.linalg.norm(f_bb, axis=1, keepdims=True)
-    f_bb = f_bb / np.maximum(norms, 1e-300)
-    hybrid = np.einsum("tmk,tkl->tml", f_rf, f_bb)
-    hybrid = hybrid / np.maximum(np.linalg.norm(hybrid, axis=1, keepdims=True), 1e-300)
-    return np.abs(np.einsum("tkm,tml->tkl", vectors.conj(), hybrid))  # |h_k^H F f_l|
-
-
-def _rates_from_rx(rx_abs: np.ndarray, p_total: float, noise_var: float) -> np.ndarray:
-    "Per-trial per-user rates from |h_k^H F f_l| magnitudes."
-    k_users = rx_abs.shape[1]
-    p_share = p_total / k_users
-    power = p_share * rx_abs**2
-    sig = np.einsum("tkk->tk", power)
-    interf = power.sum(axis=2) - sig
-    return np.log2(1.0 + sig / (interf + noise_var))
-
-
 def run_rate_vs_snr(c: ExperimentConfig):
     "Sum-rate vs SNR rows for every configured scheme."
     cfg = c.array_config()
@@ -320,70 +288,51 @@ def run_rate_vs_snr(c: ExperimentConfig):
     rows = []
     for scheme in sorted(c.schemes):
         full = scheme == "full_csi"
-        cb1 = None if full else build_scheme_codebook(c, scheme, c.p, c.q)
-        rx = _batched_beamformers(c, vectors, coords, cb1, cb2, full)
+        cb1 = None if full else build_scheme_codebook(c, scheme)
+        rx = _batched_beamformers(cfg, vectors, cb1, cb2, full, coords).rx
         for snr in snrs:
-            rates = _rates_from_rx(rx, 10.0 ** (snr / 10.0), float(cfg.num_antennas))
-            sums = rates.sum(axis=1)
-            rows.append((snr, scheme, "sum_rate_bps_hz", sums.mean(),
-                         sums.std(ddof=1) / math.sqrt(len(sums)) if len(sums) > 1 else 0.0))
-    rows.sort(key=lambda row: (row[0], row[1]))
+            sums = zf_rates(rx, 10.0 ** (snr / 10.0), float(cfg.num_antennas)).sum(axis=1)
+            rows.append((snr, scheme, "sum_rate_bps_hz", *mean_stderr(sums)))
     return rows
 
 
-def _gain_rows(c: ExperimentConfig, sweep_values, builder, points_for):
-    "Shared shape of the beamforming-gain sweeps: mean best-codeword gain per scheme."
+def _gain_rows(c: ExperimentConfig, key: str, sweep_values, points_for):
+    """Shared shape of the beamforming-gain sweeps: mean best-codeword gain per scheme.
+
+    Each sweep value replaces the config field `key`; `points_for(sub, value)`
+    gives the user locations for the replaced config `sub`.
+    """
     rows = []
     for value in sweep_values:
-        pts = points_for(value)
+        sub = replace(c, **{key: value})
+        pts = points_for(sub, value)
         for scheme in sorted(c.schemes):
-            cb = builder(value, scheme)
-            cfg = cb.cfg
-            vecs = steering_matrix_exact(cfg, pts[:, 0], pts[:, 1])
-            gains, _ = best_codeword_scan(cfg, vecs, cb.angle_samples, cb.range_samples)
-            se = gains.std(ddof=1) / math.sqrt(len(gains)) if len(gains) > 1 else 0.0
-            rows.append((value, scheme, "beamforming_gain", gains.mean(), se))
-    rows.sort(key=lambda row: (row[0], row[1]))
+            cb = build_scheme_codebook(sub, scheme)
+            rows.append((value, scheme, "beamforming_gain", *mean_best_gain(cb, pts)))
     return rows
 
 
 def run_gain_vs_q(c: ExperimentConfig):
-    sweep = [int(v) for v in (c.sweep or (c.q,))]
     pts = sample_locations(c.distribution_spec(), c.n_trials, stream_seed(c.seed, "gain"))
-    return _gain_rows(c, sweep, lambda q, s: build_scheme_codebook(c, s, c.p, q),
-                      lambda q: pts)
+    return _gain_rows(c, "q", [int(v) for v in (c.sweep or (c.q,))], lambda sub, q: pts)
 
 
 def run_gain_vs_m(c: ExperimentConfig):
-    sweep = [int(v) for v in (c.sweep or (c.num_antennas,))]
     pts = sample_locations(c.distribution_spec(), c.n_trials, stream_seed(c.seed, "gain"))
-
-    def builder(m, scheme):
-        sub = replace(c, num_antennas=m)
-        return build_scheme_codebook(sub, scheme, c.p, c.q)
-
-    return _gain_rows(c, sweep, builder, lambda m: pts)
+    return _gain_rows(c, "num_antennas", [int(v) for v in (c.sweep or (c.num_antennas,))],
+                      lambda sub, m: pts)
 
 
 def run_gain_vs_rmax(c: ExperimentConfig):
-    sweep = list(c.sweep or (c.r_max,))
-
-    def builder(rmax, scheme):
-        sub = replace(c, r_max=rmax)
-        return build_scheme_codebook(sub, scheme, c.p, c.q)
-
-    def points_for(rmax):
-        sub = replace(c, r_max=rmax)
+    def points_for(sub, rmax):
         return sample_locations(sub.distribution_spec(), c.n_trials,
                                 stream_seed(c.seed, "gain", int(rmax * 1000)))
 
-    return _gain_rows(c, sweep, builder, points_for)
+    return _gain_rows(c, "r_max", list(c.sweep or (c.r_max,)), points_for)
 
 
 def run_multipath_gain_vs_q(c: ExperimentConfig):
     "Mean reconstruction correlation of per-path feedback vs range bits per path."
-    from .feedback import multipath_feedback
-
     cfg = c.array_config()
     sweep = [int(v) for v in (c.sweep or (c.q,))]
     gain_cb = rvq_generate(c.l_paths, c.b2, "isotropic", stream_seed(c.seed, "gainrvq"))
@@ -394,12 +343,10 @@ def run_multipath_gain_vs_q(c: ExperimentConfig):
     rows = []
     for q in sweep:
         for scheme in sorted(c.schemes):
-            cb = build_scheme_codebook(c, scheme, c.p, q)
+            cb = build_scheme_codebook(replace(c, q=q), scheme)
             corrs = np.array([multipath_feedback(cfg, ch, cb, gain_cb)[1]
                               for ch in channels])
-            rows.append((q, scheme, "channel_correlation", corrs.mean(),
-                         corrs.std(ddof=1) / math.sqrt(len(corrs))))
-    rows.sort(key=lambda row: (row[0], row[1]))
+            rows.append((q, scheme, "channel_correlation", *mean_stderr(corrs)))
     return rows
 
 
@@ -415,11 +362,16 @@ _RUNNERS = {
 def run_experiment(c: ExperimentConfig) -> str:
     "Run the configured experiment; returns the CSV text (also written to c.out)."
     validate_config(c)
-    rows = _RUNNERS[c.experiment](c)
+    rows = sorted(_RUNNERS[c.experiment](c), key=lambda row: (row[0], row[1]))
     lines = [CSV_HEADER]
     for value, scheme, metric, mean, stderr in rows:
         lines.append(f"{value!r},{scheme},{metric},{float(mean)!r},{float(stderr)!r},"
                      f"{c.n_trials},{c.seed}")
+    return _csv_text(c, lines)
+
+
+def _csv_text(c: ExperimentConfig, lines) -> str:
+    "The CSV text of `lines`, also written to c.out when it is set."
     text = "\n".join(lines) + "\n"
     if c.out:
         Path(c.out).write_text(text)
@@ -428,7 +380,7 @@ def run_experiment(c: ExperimentConfig) -> str:
 
 def emit_codebook(c: ExperimentConfig) -> tuple[Path, Path]:
     "Write the configured scheme's codebook as CSV and binary files."
-    cb = build_scheme_codebook(c, c.scheme, c.p, c.q)
+    cb = build_scheme_codebook(c, c.scheme)
     base = Path(c.out) if c.out else Path("codebook")
     csv_path = base.with_suffix(".csv")
     bin_path = base.with_suffix(".bin")
@@ -437,17 +389,23 @@ def emit_codebook(c: ExperimentConfig) -> tuple[Path, Path]:
     return csv_path, bin_path
 
 
+_ALLOCATION_SCHEMES = ("geometric", "hyperbolic", "uniform", "dft")
+"Schemes with a codebook at every split p + q = b1 (hybrid needs q >= 1, extended training data)."
+
+
 def run_allocation(c: ExperimentConfig) -> str:
     "Exhaustive (p, q) table at p + q = b1; returns CSV text."
+    if c.b1 < 1 or c.n_mc < 1:
+        raise ConfigError("allocate needs b1 >= 1 and n_mc >= 1")
+    if c.scheme not in _ALLOCATION_SCHEMES or c.distribution == "empirical":
+        raise ConfigError(f"allocate supports the schemes {list(_ALLOCATION_SCHEMES)} and no "
+                          f"empirical distribution; got {c.scheme}, {c.distribution}")
     result = optimize_allocation(c.b1, c.distribution_spec(), c.array_config(),
                                  c.n_mc, stream_seed(c.seed, "alloc"), scheme=c.scheme)
     lines = ["p,q,gamma_hat,stderr"]
     for p, q, g, se in result.gain_table:
         lines.append(f"{p},{q},{float(g)!r},{float(se)!r}")
-    text = "\n".join(lines) + "\n"
-    if c.out:
-        Path(c.out).write_text(text)
-    return text
+    return _csv_text(c, lines)
 
 
 def theory_report(c: ExperimentConfig) -> str:
@@ -477,10 +435,8 @@ def theory_report(c: ExperimentConfig) -> str:
     approx = gain_theory.expected_gain_approx(cfg, gain_theory.expected_angle_error(region, c.p),
                                               mean_u)
     pts = sample_locations(UniformPolar(region), c.n_mc, stream_seed(c.seed, "gainmc"))
-    cb = build_scheme_codebook(c, "geometric", c.p, c.q)
-    vecs = steering_matrix_exact(cfg, pts[:, 0], pts[:, 1])
-    gains, _ = best_codeword_scan(cfg, vecs, cb.angle_samples, cb.range_samples)
-    rows.append(("decoupled_gain_vs_monte_carlo", approx, float(gains.mean())))
+    cb = build_scheme_codebook(c, "geometric")
+    rows.append(("decoupled_gain_vs_monte_carlo", approx, mean_best_gain(cb, pts)[0]))
 
     cal = gain_theory.calibrate(cfg, 0.95, region)
     rows.append(("angle_bits_per_doubling",
@@ -503,14 +459,12 @@ def theory_report(c: ExperimentConfig) -> str:
     vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
     coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])
     cb2 = rvq_generate(sub.k_users, sub.b2, "isotropic", stream_seed(sub.seed, "rvq"))
-    rx_geo = _batched_beamformers(sub, vectors, coords, cb, cb2, False)
-    rx_full = _batched_beamformers(sub, vectors, coords, None, None, True)
-    flat = vectors.reshape(-1, cfg.num_antennas)
-    ph1, _ = best_codeword_scan(cfg, flat, cb.angle_samples, cb.range_samples)
-    gamma_hat = float((ph1 / np.linalg.norm(flat, axis=1)).mean())
+    geo = _batched_beamformers(cfg, vectors, cb, cb2)
+    full = _batched_beamformers(cfg, vectors, None, None, True, coords)
+    gamma_hat = float((geo.phase1_gains / np.linalg.norm(vectors, axis=2)).mean())
     p_tot = 10.0 ** (sub.snr_db / 10.0)
-    gap = (_rates_from_rx(rx_full, p_tot, float(cfg.num_antennas))
-           - _rates_from_rx(rx_geo, p_tot, float(cfg.num_antennas))).sum(axis=1) / sub.k_users
+    gap = (zf_rates(full.rx, p_tot, float(cfg.num_antennas))
+           - zf_rates(geo.rx, p_tot, float(cfg.num_antennas))).sum(axis=1) / sub.k_users
     bound = gain_theory.rate_gap_bound(gamma_hat, p_tot, sub.k_users, sub.b2)
     rows.append(("rate_gap_bound_vs_measured", bound, float(gap.mean())))
     return _theory_csv(rows, c)
@@ -521,7 +475,4 @@ def _theory_csv(rows, c: ExperimentConfig) -> str:
     for name, closed, oracle in rows:
         rel = abs(closed - oracle) / abs(oracle) if oracle == oracle and oracle != 0 else float("nan")
         lines.append(f"{name},{float(closed)!r},{float(oracle)!r},{float(rel)!r}")
-    text = "\n".join(lines) + "\n"
-    if c.out:
-        Path(c.out).write_text(text)
-    return text
+    return _csv_text(c, lines)

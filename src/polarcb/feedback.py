@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import ArrayConfig, antenna_offsets, steering_matrix_exact
-from .channels import ChannelRealization, effective_channel
+from .channels import ChannelRealization
 from .codebooks import PolarCodebook, grid_locations, grid_phase_diff
 from .parallel import available_cpus, thread_map
 
@@ -361,6 +361,17 @@ def phase2_select(g: np.ndarray, cb: RVQCodebook) -> tuple[int, np.ndarray]:
     return idx, cb.codewords[idx]
 
 
+def _zero_forcing(ghat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm-column zero-forcing precoders of (..., K, K) matrices, and which are singular.
+
+    The pseudo-inverse drops singular values below 1 / MAX_ZF_CONDITION of
+    the largest, which only a singular matrix (condition above that) has.
+    """
+    singular = ~(np.linalg.cond(ghat) <= MAX_ZF_CONDITION)
+    f = np.linalg.pinv(ghat, rcond=1.0 / MAX_ZF_CONDITION)
+    return f / np.maximum(np.linalg.norm(f, axis=-2, keepdims=True), 1e-300), singular
+
+
 def zf_beamformer(ghat: np.ndarray) -> np.ndarray:
     """Zero-forcing digital beamformer for a row-stacked effective channel.
 
@@ -372,22 +383,82 @@ def zf_beamformer(ghat: np.ndarray) -> np.ndarray:
     k = ghat.shape[0]
     if ghat.shape != (k, k):
         raise ValueError("effective channel matrix must be square")
-    if np.linalg.cond(ghat) > MAX_ZF_CONDITION:
+    f, singular = _zero_forcing(ghat)
+    if singular:
         raise ZFSingularError("effective channel matrix is rank deficient")
-    f = np.linalg.pinv(ghat)
-    return f / np.linalg.norm(f, axis=0, keepdims=True)
+    return f
+
+
+def zf_rates(rx: np.ndarray, p_total: float, noise_var: float) -> np.ndarray:
+    "Per-user rates in bps/Hz (..., K) from |h_k^H F f_l| (..., K, K); p_total / K per stream."
+    power = (p_total / rx.shape[-1]) * rx**2
+    sig = np.diagonal(power, axis1=-2, axis2=-1)
+    return np.log2(1.0 + sig / (power.sum(axis=-1) - sig + noise_var))
 
 
 def user_rate(h, f_rf: np.ndarray, f_bb: np.ndarray, k: int, p_total: float,
               noise_var: float) -> float:
-    "Achievable rate of user k in bps/Hz under equal power allocation."
+    "Achievable rate of user k in bps/Hz under equal power allocation (`zf_rates`)."
     vec = h.vector if isinstance(h, ChannelRealization) else np.asarray(h)
-    n_users = f_bb.shape[1]
-    rx = vec.conj() @ f_rf @ f_bb
-    p_share = p_total / n_users
-    sig = p_share * abs(rx[k]) ** 2
-    interf = p_share * (np.abs(rx) ** 2).sum() - sig
-    return float(np.log2(1.0 + sig / (interf + noise_var)))
+    rx = np.abs(vec.conj() @ f_rf @ f_bb)
+    # every row is user k's magnitudes, so diagonal entry k is user k's signal
+    return float(zf_rates(np.broadcast_to(rx, (len(rx), len(rx))), p_total, noise_var)[k])
+
+
+_PHASE2_SCORES = 2**20
+"RVQ scores per phase-2 step (24 MiB as complex128 plus float64 modulus), in whole drops."
+
+
+@dataclass(frozen=True, eq=False)
+class ProtocolBatch:
+    "What `run_protocol_batch` produced for T drops of K users; axis 0 is the drop."
+
+    phase1_indices: np.ndarray          # (T, K); -1 under full CSI
+    phase1_gains: np.ndarray | None     # (T, K) |h^H b|; None under full CSI
+    f_rf: np.ndarray                    # (T, M, K)
+    ghat: np.ndarray                    # (T, K, K) quantized effective-channel rows
+    f_bb: np.ndarray                    # (T, K, K); every column of f_rf @ f_bb has unit norm
+    rx: np.ndarray                      # (T, K, K) |h_k^H F_RF f_l|, the input of `zf_rates`
+    singular: np.ndarray                # (T,) zero forcing met cond > MAX_ZF_CONDITION
+
+
+def run_protocol_batch(cfg: ArrayConfig, vectors: np.ndarray, cb1: PolarCodebook | None,
+                       cb2: RVQCodebook | None, full_csi: bool = False,
+                       coords: np.ndarray | None = None) -> ProtocolBatch:
+    """The three feedback phases for T drops of K users; `vectors` is (T, K, M).
+
+    Phase 1 is one `best_codeword_scan` over all T K rows (under `full_csi`,
+    exact beams aimed at `coords` (T, K, 2) of (theta, r), and no phase 2).
+    Phase 2 quantizes each effective-channel row to its best RVQ codeword,
+    `_PHASE2_SCORES` scores at a time.  Zero forcing runs on the quantized
+    rows; a singular drop is flagged, and users sharing a direction in it
+    see outage-level rates.
+    """
+    n_trials, k_users, m = vectors.shape
+    if full_csi:
+        idx, gains = np.full((n_trials, k_users), -1, dtype=np.int64), None
+        f_rf = steering_matrix_exact(cfg, coords[..., 0], coords[..., 1])
+    else:
+        gains, idx = best_codeword_scan(cfg, vectors.reshape(n_trials * k_users, m),
+                                        cb1.angle_samples, cb1.range_samples)
+        f_rf = steering_matrix_exact(cfg, *cb1.locations(idx)).reshape(n_trials, k_users, m)
+        gains, idx = gains.reshape(n_trials, k_users), idx.reshape(n_trials, k_users)
+    f_rf = np.swapaxes(f_rf, 1, 2)
+    g = np.einsum("tkm,tml->tkl", vectors.conj(), f_rf)  # rows h_k^H F_RF
+    if full_csi:
+        ghat = g
+    else:
+        step = max(1, _PHASE2_SCORES // (k_users * len(cb2.codewords)))
+        pick = np.concatenate([
+            np.abs(np.einsum("cj,tkj->tkc", cb2.codewords, g[t:t + step])).argmax(axis=2)
+            for t in range(0, n_trials, step)])
+        ghat = cb2.codewords[pick].conj()
+    f_bb, singular = _zero_forcing(ghat)
+    hybrid = np.einsum("tmk,tkl->tml", f_rf, f_bb)
+    scale = np.maximum(np.linalg.norm(hybrid, axis=1, keepdims=True), 1e-300)
+    hybrid /= scale
+    rx = np.abs(np.einsum("tkm,tml->tkl", vectors.conj(), hybrid))
+    return ProtocolBatch(idx, gains, f_rf, ghat, f_bb / scale, rx, singular)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,41 +478,20 @@ class FeedbackOutcome:
 
 def run_protocol(cfg: ArrayConfig, users, cb1: PolarCodebook | None, cb2: RVQCodebook | None,
                  p_total: float, noise_var: float, full_csi: bool = False) -> FeedbackOutcome:
-    """Run the three feedback phases for one set of user channels.
+    """`run_protocol_batch` for one drop of users; full CSI aims at each user's first path.
 
-    Phase 1 picks each user's analog codeword (or, under `full_csi`, aims an
-    exact steering vector at the user's first path).  Phase 2 quantizes the
-    direction of each exact effective-channel row with the RVQ codebook
-    (skipped under `full_csi`).  Zero forcing then runs on the reconstructed
-    rows, each user's digital column is rescaled so the hybrid beamformer
-    carries unit power, and rates are evaluated against the true channels.
+    Raises ZFSingularError where the batch would flag the drop as singular.
     """
     users = list(users)
-    k_users = len(users)
-    if k_users < 1:
+    if not users:
         raise ValueError("need at least one user")
-    if full_csi:
-        coords = [u.paths[0].coord for u in users]
-        f_rf = steering_matrix_exact(cfg, np.array([c.theta for c in coords]),
-                                     np.array([c.r for c in coords])).T
-        idx = np.full(k_users, -1, dtype=np.int64)
-    else:
-        vecs = np.array([u.vector for u in users])
-        _, idx = best_codeword_scan(cfg, vecs, cb1.angle_samples, cb1.range_samples)
-        f_rf = steering_matrix_exact(cfg, *cb1.locations(idx)).T
-
-    g = effective_channel(users, f_rf)
-    if full_csi:
-        ghat = g
-    else:
-        ghat = np.array([phase2_select(g[k].conj(), cb2)[1].conj() for k in range(k_users)])
-    f_bb = zf_beamformer(ghat)
-    scale = np.linalg.norm(f_rf @ f_bb, axis=0, keepdims=True)
-    f_bb = f_bb / scale
-
-    rates = np.array([user_rate(users[k], f_rf, f_bb, k, p_total, noise_var)
-                      for k in range(k_users)])
-    return FeedbackOutcome(idx, f_rf, ghat, f_bb, rates)
+    coords = np.array([[(u.paths[0].coord.theta, u.paths[0].coord.r) for u in users]])
+    out = run_protocol_batch(cfg, np.array([[u.vector for u in users]]), cb1, cb2, full_csi,
+                             coords)
+    if out.singular[0]:
+        raise ZFSingularError("effective channel matrix is rank deficient")
+    return FeedbackOutcome(out.phase1_indices[0], out.f_rf[0], out.ghat[0], out.f_bb[0],
+                           zf_rates(out.rx[0], p_total, noise_var))
 
 
 def multipath_feedback(cfg: ArrayConfig, h: ChannelRealization, cb1: PolarCodebook,

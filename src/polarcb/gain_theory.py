@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .array_model import ArrayConfig, PolarRegion
+from .distributions import mean_stderr
 
 
 def f_gain(cfg: ArrayConfig, eps_theta, u):
@@ -184,8 +185,7 @@ def surrogate_bound_check(region: PolarRegion, q: int, samples, boundaries=None,
     rng = np.random.default_rng(seed)
     r = rng.uniform(region.r_min, region.r_max, n_mc)
     err = np.abs(1.0 / r[:, None] - 1.0 / samples[None, :]).min(axis=1)
-    lhs = float(err.mean())
-    lhs_se = float(err.std(ddof=1) / math.sqrt(n_mc))
+    lhs, lhs_se = mean_stderr(err)
     rhs = 0.0
     for i in range(len(samples)):
         a, b = boundaries[i], boundaries[i + 1]

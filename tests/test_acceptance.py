@@ -18,9 +18,9 @@ import polarcb as pc
 from polarcb.allocation import optimize_allocation
 from polarcb.array_model import steering_matrix_exact, steering_matrix_fresnel
 from polarcb.distributions import UniformPolar, sample_locations
-from polarcb.experiments import (ExperimentConfig, _batched_beamformers, _parallel_trials,
-                                 _rates_from_rx, draw_channels, run_experiment, stream_seed)
-from polarcb.feedback import best_codeword_scan, rvq_generate
+from polarcb.experiments import (ExperimentConfig, _parallel_trials, draw_channels,
+                                 run_experiment, stream_seed)
+from polarcb.feedback import best_codeword_scan, run_protocol_batch, rvq_generate, zf_rates
 from polarcb.gain_theory import (calibrate, cell_range_error, cell_surrogate_error,
                                  expected_range_error, f_gain, gain_thresholds,
                                  geometric_cells, rate_gap_bound, required_angle_bits,
@@ -49,8 +49,8 @@ def protocol_run():
     rx = {}
     for scheme in ("geometric", "hyperbolic", "uniform", "dft", "hybrid"):
         cb1 = pc.scheme_codebook(CFG387, REGION, scheme, 12, 3)
-        rx[scheme] = _batched_beamformers(c, vectors, coords, cb1, cb2, False)
-    rx["full_csi"] = _batched_beamformers(c, vectors, coords, None, None, True)
+        rx[scheme] = run_protocol_batch(CFG387, vectors, cb1, cb2, False, coords).rx
+    rx["full_csi"] = run_protocol_batch(CFG387, vectors, None, None, True, coords).rx
     cb_geo = pc.scheme_codebook(CFG387, REGION, "geometric", 12, 3)
     flat = vectors.reshape(-1, 387)
     gains, _ = best_codeword_scan(CFG387, flat, cb_geo.angle_samples, cb_geo.range_samples)
@@ -225,7 +225,7 @@ def test_criterion_09_zf_and_full_csi_dominance(protocol_run):
 
     dominance = []
     for snr in (10.0, 22.0, 30.0):
-        sums = {s: _rates_from_rx(rx, 10 ** (snr / 10), 387.0).sum(axis=1)
+        sums = {s: zf_rates(rx, 10 ** (snr / 10), 387.0).sum(axis=1)
                 for s, rx in protocol_run["rx"].items()}
         for scheme in ("geometric", "hyperbolic", "uniform", "dft", "hybrid"):
             diff = sums["full_csi"] - sums[scheme]
@@ -259,8 +259,8 @@ def test_criterion_11_rate_gap_bound(protocol_run):
     ok = True
     for snr in (10.0, 22.0, 30.0):
         p_tot = 10 ** (snr / 10)
-        r_full = _rates_from_rx(protocol_run["rx"]["full_csi"], p_tot, 387.0).sum(axis=1)
-        r_geo = _rates_from_rx(protocol_run["rx"]["geometric"], p_tot, 387.0).sum(axis=1)
+        r_full = zf_rates(protocol_run["rx"]["full_csi"], p_tot, 387.0).sum(axis=1)
+        r_geo = zf_rates(protocol_run["rx"]["geometric"], p_tot, 387.0).sum(axis=1)
         gap = (r_full - r_geo) / 4.0
         se = gap.std(ddof=1) / np.sqrt(len(gap))
         bound = rate_gap_bound(gamma, p_tot, 4, 12)

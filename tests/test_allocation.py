@@ -14,11 +14,11 @@ def test_estimate_gain_perfect_codebook(region, small_setup):
     cfg, dist = small_setup
     pts = np.array([[0.1, 20.0]])
     cb = scheme_codebook(cfg, region, "geometric", 3, 2)
-    from polarcb.allocation import _gain_from_points
+    from polarcb.allocation import mean_best_gain
     # codebook containing the exact location gives gain 1
     from polarcb.codebooks import PolarCodebook
     exact = PolarCodebook(cfg, np.array([0.1]), np.array([20.0]))
-    g, se = _gain_from_points(exact, pts)
+    g, se = mean_best_gain(exact, pts)
     assert g == pytest.approx(1.0, abs=1e-12)
     assert se == 0.0
 

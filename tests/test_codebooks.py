@@ -77,8 +77,9 @@ def test_dft_codebook(cfg129, region):
 
 
 def test_assemble_codebook(cfg129, region):
-    cb = assemble_codebook(cfg129, uniform_angle_samples(region, 2),
-                           geometric_range_samples(region, 3))
+    with pytest.deprecated_call():
+        cb = assemble_codebook(cfg129, uniform_angle_samples(region, 2),
+                               geometric_range_samples(region, 3))
     assert len(cb) == 32
     cw = cb.codewords
     assert np.allclose(np.linalg.norm(cw, axis=1), 1.0, atol=1e-12)
@@ -190,3 +191,15 @@ def test_extended_scheme_runs(cfg129, region):
     cb = scheme_codebook(cfg129, region, "extended", 2, 3, lloyd_data=data)
     assert len(cb.range_samples) == 8
     assert len(cb) == 32
+
+
+def test_codebook_binary_written_in_blocks(cfg129, region, tmp_path, monkeypatch):
+    import polarcb.codebooks as codebooks
+
+    cb = scheme_codebook(cfg129, region, "hybrid", 3, 2)
+    whole, blocks = tmp_path / "whole.bin", tmp_path / "blocks.bin"
+    cb.save_binary(whole)
+    monkeypatch.setattr(codebooks, "_EXPORT_BLOCK", 5)    # 32 codewords in 7 blocks
+    cb.save_binary(blocks)
+    assert blocks.read_bytes() == whole.read_bytes()
+    assert np.array_equal(load_codebook_binary(blocks)[1], cb.codewords)

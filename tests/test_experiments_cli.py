@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -366,3 +367,59 @@ empirical_csv = {users}
         counts.append(len(loads))
     # one read when the config is loaded, one when the run validates it, one for the draws
     assert counts == [3, 3]
+
+
+_TINY = "num_antennas = 65\np = 4\nn_trials = 4\nn_mc = 4\nschemes = geometric\n"
+
+
+@pytest.mark.parametrize("command,lines,message", [
+    ("simulate", "experiment = gain_vs_q\nsweep = -1\n", ">= 0"),
+    ("simulate", "experiment = multipath_gain_vs_q\nk_users = 1\nsweep = -2\n", ">= 0"),
+    ("simulate", "experiment = gain_vs_m\nsweep = 0\n", ">= 1"),
+    ("simulate", "schemes = hybrid\nq = 0\n", "hybrid"),
+    ("simulate", "experiment = gain_vs_q\nschemes = geometric,hybrid\nsweep = 0,1\n", "hybrid"),
+    ("codebook", "scheme = foo\n", "unknown scheme"),
+    ("codebook", "scheme = hybrid\nq = 0\n", "hybrid"),
+    ("allocate", "b1 = 0\n", "b1"),
+    ("allocate", "b1 = 3\nn_mc = 0\n", "n_mc"),
+    ("allocate", "b1 = 3\nscheme = extended\n", "extended"),
+    ("allocate", "b1 = 3\nscheme = hybrid\n", "hybrid"),
+    ("allocate", "b1 = 3\ndistribution = empirical\nempirical_csv = users.csv\n", "empirical"),
+])
+def test_cli_limits_are_config_errors(tmp_path, monkeypatch, capsys, command, lines, message):
+    # each of these ended in a ValueError traceback (exit 1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "users.csv").write_text("theta,r_m\n0.0,30.0\n0.2,50.0\n")
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    text = "".join(line + "\n" for line in _TINY.splitlines()
+                   if line.split("=")[0].strip() not in keys)
+    argv = [command, "--config", _write(tmp_path, text + lines), "--out", str(tmp_path / "o")]
+    assert _main_within(argv, 10.0) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_single_sample_stderr_is_zero():
+    c = ExperimentConfig(experiment="multipath_gain_vs_q", num_antennas=33, p=4, k_users=1,
+                         l_paths=2, b2=4, n_trials=1, schemes=("geometric",), sweep=(2.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_experiment(c).strip().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["0.0"]
+
+
+def test_lloyd_converges_past_the_old_cap(tmp_path):
+    # seed 3 of this mixture needs 581 Lloyd iterations at q = 5; the cap was 500
+    from polarcb.codebooks import LloydConvergenceError, lloyd_range_samples
+    from polarcb.distributions import sample_locations
+    from polarcb.experiments import stream_seed
+
+    text = ("experiment = multipath_gain_vs_q\ndistribution = gmm\n"
+            "gmm_components = 0.5:15:5;0.5:60:20\nschemes = extended\nsweep = 5\nseed = 3\n"
+            "num_antennas = 33\np = 4\nk_users = 1\nl_paths = 3\nb2 = 4\nn_trials = 2\n")
+    c = ExperimentConfig(**parse_config_text(text))
+    ranges = sample_locations(c.distribution_spec(), c.n_train, stream_seed(3, "train"))[:, 1]
+    with pytest.raises(LloydConvergenceError):
+        lloyd_range_samples(ranges, 5, c.lloyd_tolerance, max_iters=500)
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert out.read_text().count("extended") == 1

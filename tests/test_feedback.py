@@ -10,8 +10,8 @@ import polarcb.feedback as feedback
 
 from polarcb import (ArrayConfig, PolarCoord, PolarRegion, ZFSingularError, los_channel,
                      multipath_channel, multipath_channel_equal, multipath_feedback, phase1_select,
-                     phase2_select, run_protocol, rvq_generate, scheme_codebook,
-                     steering_vector_exact, user_rate, zf_beamformer)
+                     phase2_select, run_protocol, run_protocol_batch, rvq_generate,
+                     scheme_codebook, steering_vector_exact, user_rate, zf_beamformer, zf_rates)
 from polarcb.array_model import steering_matrix_exact
 from polarcb.codebooks import PolarCodebook
 from polarcb.feedback import best_codeword_scan
@@ -558,10 +558,7 @@ def test_multipath_feedback_multi_path(cfg129, region, small_cb):
 
 
 def test_batched_path_matches_run_protocol(cfg129, region, small_cb):
-    from polarcb.experiments import ExperimentConfig, _batched_beamformers, _rates_from_rx
-
     rng = np.random.default_rng(13)
-    c = ExperimentConfig(num_antennas=129, k_users=3, p=5, q=3)
     cb2 = rvq_generate(3, 8, "isotropic", 2)
     trials = []
     for _ in range(4):
@@ -571,8 +568,96 @@ def test_batched_path_matches_run_protocol(cfg129, region, small_cb):
     vectors = np.array([[u.vector for u in users] for users in trials])
     coords_arr = np.array([[(u.paths[0].coord.theta, u.paths[0].coord.r) for u in users]
                            for users in trials])
-    rx = _batched_beamformers(c, vectors, coords_arr, small_cb, cb2, False)
-    rates = _rates_from_rx(rx, 10**2.2, 129.0)
+    rx = run_protocol_batch(cfg129, vectors, small_cb, cb2, False, coords_arr).rx
+    rates = zf_rates(rx, 10**2.2, 129.0)
     for t, users in enumerate(trials):
         out = run_protocol(cfg129, users, small_cb, cb2, 10**2.2, 129.0)
         assert np.allclose(rates[t], out.rates, rtol=1e-10)
+
+
+def _reference_batched_rates(cfg, vectors, coords, cb1, cb2, full_csi, p_total, noise_var):
+    "Reference batch: the einsum, pinv and rate arithmetic of the sum-rate sweep before the merge."
+    n_trials, k_users, m = vectors.shape
+    if full_csi:
+        f_rf = steering_matrix_exact(cfg, coords[..., 0], coords[..., 1])
+    else:
+        flat = vectors.reshape(n_trials * k_users, m)
+        _, idx = best_codeword_scan(cfg, flat, cb1.angle_samples, cb1.range_samples)
+        f_rf = steering_matrix_exact(cfg, *cb1.locations(idx)).reshape(n_trials, k_users, m)
+    f_rf = np.swapaxes(f_rf, 1, 2)
+    g = np.einsum("tkm,tml->tkl", vectors.conj(), f_rf)
+    if full_csi:
+        ghat = g
+    else:
+        pick = np.argmax(np.abs(np.einsum("cj,tkj->tkc", cb2.codewords, g)), axis=2)
+        ghat = cb2.codewords[pick].conj()
+    f_bb = np.linalg.pinv(ghat, rcond=1.0 / feedback.MAX_ZF_CONDITION)
+    f_bb = f_bb / np.maximum(np.linalg.norm(f_bb, axis=1, keepdims=True), 1e-300)
+    hybrid = np.einsum("tmk,tkl->tml", f_rf, f_bb)
+    hybrid = hybrid / np.maximum(np.linalg.norm(hybrid, axis=1, keepdims=True), 1e-300)
+    rx = np.abs(np.einsum("tkm,tml->tkl", vectors.conj(), hybrid))
+    power = p_total / k_users * rx**2
+    sig = np.einsum("tkk->tk", power)
+    return np.log2(1.0 + sig / (power.sum(axis=2) - sig + noise_var))
+
+
+def _drops(cfg, n_trials, k_users, seed, duplicate=None):
+    "LoS drops as (users, vectors (T, K, M), coords (T, K, 2)); drop `duplicate` repeats a user."
+    rng = np.random.default_rng(seed)
+    drops = []
+    for t in range(n_trials):
+        coords = [PolarCoord(th, r) for th, r in
+                  zip(rng.uniform(-0.5, 0.5, k_users), rng.uniform(4, 120, k_users))]
+        if t == duplicate:
+            coords[1] = coords[0]
+        drops.append([los_channel(cfg, co) for co in coords])
+    vectors = np.array([[u.vector for u in users] for users in drops])
+    coords = np.array([[(u.paths[0].coord.theta, u.paths[0].coord.r) for u in users]
+                       for users in drops])
+    return drops, vectors, coords
+
+
+def test_protocol_batch_matches_reference_and_flags_the_singular_drop(cfg129, small_cb):
+    drops, vectors, coords = _drops(cfg129, 5, 3, 31, duplicate=2)
+    cb2 = rvq_generate(3, 8, "isotropic", 4)
+    out = run_protocol_batch(cfg129, vectors, small_cb, cb2, False, coords)
+    assert out.singular.tolist() == [False, False, True, False, False]
+    for full in (False, True):
+        batch = run_protocol_batch(cfg129, vectors, small_cb, cb2, full, coords)
+        for snr_db in (0.0, 22.0, 30.0):
+            p_total = 10 ** (snr_db / 10)
+            ref = _reference_batched_rates(cfg129, vectors, coords, small_cb, cb2, full,
+                                           p_total, 129.0)
+            assert np.abs(zf_rates(batch.rx, p_total, 129.0) - ref).max() <= 1e-12
+    rates = zf_rates(out.rx, 100.0, 129.0)
+    for t, users in enumerate(drops):
+        if t == 2:
+            with pytest.raises(ZFSingularError):
+                run_protocol(cfg129, users, small_cb, cb2, 100.0, 129.0)
+            continue
+        alone = run_protocol(cfg129, users, small_cb, cb2, 100.0, 129.0)
+        assert np.array_equal(alone.rates, rates[t])
+        assert np.array_equal(alone.phase1_indices, out.phase1_indices[t])
+
+
+def test_protocol_batch_phase1_gains_are_the_scan_gains(cfg129, small_cb):
+    _, vectors, coords = _drops(cfg129, 4, 2, 32)
+    out = run_protocol_batch(cfg129, vectors, small_cb, rvq_generate(2, 6, "isotropic", 1))
+    gains, idx = best_codeword_scan(cfg129, vectors.reshape(8, 129), small_cb.angle_samples,
+                                    small_cb.range_samples)
+    assert np.array_equal(out.phase1_gains, gains.reshape(4, 2))
+    assert np.array_equal(out.phase1_indices, idx.reshape(4, 2))
+    full = run_protocol_batch(cfg129, vectors, None, None, True, coords)
+    assert full.phase1_gains is None and (full.phase1_indices == -1).all()
+
+
+def test_phase2_chunks_pick_the_unchunked_argmax(cfg129, small_cb):
+    k_users, b2, n_trials = 4, 14, 40
+    step = feedback._PHASE2_SCORES // (k_users * 2**b2)
+    assert 1 <= step < n_trials and n_trials % step     # several steps, the last one partial
+    _, vectors, _ = _drops(cfg129, n_trials, k_users, 33)
+    cb2 = rvq_generate(k_users, b2, "isotropic", 5)
+    out = run_protocol_batch(cfg129, vectors, small_cb, cb2)
+    g = np.einsum("tkm,tml->tkl", vectors.conj(), out.f_rf)
+    pick = np.argmax(np.abs(np.einsum("cj,tkj->tkc", cb2.codewords, g)), axis=2)
+    assert np.array_equal(out.ghat, cb2.codewords[pick].conj())
