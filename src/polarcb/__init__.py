@@ -4,8 +4,8 @@ from .array_model import (ArrayConfig, PolarCoord, PolarRegion, antenna_offsets,
                           beamforming_gain, far_field_vector, steering_matrix_exact,
                           steering_matrix_fresnel, steering_vector_exact,
                           steering_vector_fresnel)
-from .channels import (ChannelRealization, PathParam, effective_channel, los_channel,
-                       multipath_channel, multipath_channel_equal)
+from .channels import (ChannelArrays, ChannelRealization, PathParam, effective_channel,
+                       los_channel, multipath_channel, multipath_channel_equal)
 from .codebooks import (LloydConvergenceError, PolarCodebook, assemble_codebook,
                         dft_angle_codebook, geometric_range_samples,
                         hybrid_field_range_samples, hyperbolic_range_samples,
@@ -15,8 +15,9 @@ from .distributions import (Empirical, GaussianMixtureRange, HotSpotRange,
                             TruncatedGaussianRange, UniformPolar, load_empirical_csv,
                             range_pdf, sample_locations)
 from .feedback import (FeedbackOutcome, ProtocolBatch, RVQCodebook, ZFSingularError,
-                       multipath_feedback, phase1_select, phase2_select, run_protocol,
-                       run_protocol_batch, rvq_generate, user_rate, zf_beamformer, zf_rates)
+                       multipath_feedback, multipath_feedback_batch, phase1_select,
+                       phase2_select, quantize_path_gains, run_protocol, run_protocol_batch,
+                       rvq_generate, user_rate, zf_beamformer, zf_rates)
 from .allocation import AllocationResult, estimate_gain_mc, mean_best_gain, optimize_allocation
 from . import gain_theory
 

@@ -84,16 +84,24 @@ _OBJECTIVE_REL_TOL = 1e-8
 "Stop once an iteration improves the distortion by less than this, relatively."
 
 
+def _sorted_medians(values: np.ndarray, starts, counts) -> np.ndarray:
+    "Medians of the runs values[start:start + count] of sorted values, as np.median gives them."
+    lo = values[starts + (counts - 1) // 2]
+    hi = values[starts + counts // 2]
+    return np.where(counts % 2 == 1, lo, (lo + hi) / 2.0)
+
+
 def _lloyd_1d(values: np.ndarray, n_codes: int, tolerance: float, max_iters: int,
               init: np.ndarray, return_history: bool):
     """1-D Lloyd loop on already-transformed values.
 
     Codeword update is the per-cell median, the exact minimizer of the mean
-    absolute error; empty cells are reseeded by splitting the most populated
-    cell at its median.  Terminates when the per-codeword movement drops
-    below `tolerance` or the distortion stops improving (with finite data
-    the movement criterion alone lets the codes random-walk along the flat
-    valley of near-optimal configurations).
+    absolute error; the values are sorted once, so every cell is a run of
+    them and its median is read off by index.  Empty cells are reseeded by
+    splitting the most populated cell at its median.  Terminates when the
+    per-codeword movement drops below `tolerance` or the distortion stops
+    improving (with finite data the movement criterion alone lets the codes
+    random-walk along the flat valley of near-optimal configurations).
     """
     if len(values) < n_codes:
         raise ValueError(f"need at least {n_codes} data points")
@@ -101,40 +109,38 @@ def _lloyd_1d(values: np.ndarray, n_codes: int, tolerance: float, max_iters: int
         raise ValueError("tolerance must be positive")
     values = np.sort(np.asarray(values, dtype=np.float64))
     codes = np.sort(np.asarray(init, dtype=np.float64))
+
+    def cells(codes):
+        "Start offset and count of each code's cell (values nearest it, ties to the lower)."
+        ends = np.searchsorted(values, (codes[:-1] + codes[1:]) / 2.0, side="right")
+        starts = np.concatenate([[0], ends])
+        counts = np.diff(starts, append=len(values))
+        return starts, counts, float(np.abs(values - np.repeat(codes, counts)).mean())
+
     history = []
     prev_obj = np.inf
     for _ in range(max_iters):
-        edges = (codes[:-1] + codes[1:]) / 2.0
-        cells = np.searchsorted(edges, values)
-        obj = float(np.abs(values - codes[cells]).mean())
+        starts, counts, obj = cells(codes)
         history.append(obj)
-        counts = np.bincount(cells, minlength=n_codes)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
         new_codes = codes.copy()
-        chunks = {i: values[offsets[i]:offsets[i + 1]] for i in range(n_codes)}
-        for i in range(n_codes):
-            if counts[i]:
-                new_codes[i] = np.median(chunks[i])
+        full = counts > 0
+        new_codes[full] = _sorted_medians(values, starts[full], counts[full])
         for i in np.nonzero(counts == 0)[0]:
             big = int(np.argmax(counts))
-            chunk = chunks[big]
-            half = len(chunk) // 2
+            half = counts[big] // 2
             if half == 0:
                 new_codes[i] = new_codes[big]
                 continue
-            new_codes[i] = np.median(chunk[:half])
-            new_codes[big] = np.median(chunk[half:])
-            chunks[i], chunks[big] = chunk[:half], chunk[half:]
-            counts[i], counts[big] = half, len(chunk) - half
+            starts[i], counts[i] = starts[big], half
+            starts[big], counts[big] = starts[big] + half, counts[big] - half
+            new_codes[[i, big]] = _sorted_medians(values, starts[[i, big]], counts[[i, big]])
         new_codes = np.sort(new_codes)
         shift = float(np.max(np.abs(new_codes - codes)))
         codes = new_codes
         converged = shift < tolerance or prev_obj - obj < _OBJECTIVE_REL_TOL * max(obj, 1e-300)
         prev_obj = obj
         if converged:
-            edges = (codes[:-1] + codes[1:]) / 2.0
-            cells = np.searchsorted(edges, values)
-            history.append(float(np.abs(values - codes[cells]).mean()))
+            history.append(cells(codes)[2])
             return codes, (history if return_history else [])
     raise LloydConvergenceError(f"no convergence after {max_iters} iterations", codes)
 

@@ -10,22 +10,24 @@ or worker count.
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .array_model import ArrayConfig, PolarCoord, PolarRegion
+from .array_model import ArrayConfig, PolarRegion
 from .allocation import mean_best_gain, optimize_allocation
-from .channels import los_channel, multipath_channel, multipath_channel_equal
+from .channels import (ChannelArrays, channel_vectors, equal_path_gains,
+                       rician_path_gains)
 from .codebooks import SCHEMES, PolarCodebook, scheme_codebook
 from .distributions import (MIN_TRUNCATION_MASS, DistributionSpec, GaussianMixtureRange,
                             HotSpotRange, TruncatedGaussianRange, UniformPolar,
                             load_empirical_csv, mean_stderr, sample_locations, truncation_mass)
 # bound under this name, which the benchmark traces as the beamforming layer
 from .feedback import run_protocol_batch as _batched_beamformers
-from .feedback import multipath_feedback, rvq_generate, zf_rates
+from .feedback import multipath_feedback_batch, quantize_path_gains, rvq_generate, zf_rates
 from .parallel import available_cpus, ordered_map
 from . import gain_theory
 
@@ -195,6 +197,13 @@ def validate_config(c: ExperimentConfig) -> None:
     if (("hybrid" in c.schemes and min(c.sweep if swept_q else (c.q,)) < 1)
             or (c.scheme == "hybrid" and c.q < 1)):
         raise ConfigError("the hybrid scheme needs q >= 1, at q and at every swept q")
+    if "extended" in c.schemes or c.scheme == "extended":
+        q_max = int(max((c.q, *c.sweep) if swept_q else (c.q,)))
+        if c.n_train < 2**q_max:
+            raise ConfigError(f"the extended scheme needs n_train >= 2^q = {2**q_max} "
+                              f"training ranges at q = {q_max}; got {c.n_train}")
+        if c.lloyd_tolerance <= 0:
+            raise ConfigError("the extended scheme needs lloyd_tolerance > 0")
     if c.experiment != "rate_vs_snr" and "full_csi" in c.schemes:
         raise ConfigError("full_csi only applies to rate experiments")
 
@@ -250,48 +259,73 @@ def build_scheme_codebook(c: ExperimentConfig, scheme: str) -> PolarCodebook:
                            lloyd_data=lloyd_data, lloyd_tolerance=c.lloyd_tolerance)
 
 
-def draw_channels(c: ExperimentConfig, spec: DistributionSpec, trial: int,
-                  equal_gains: bool = False):
-    """One trial's K user channels (and their location coords).
+def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
+                  equal_gains: bool = False) -> ChannelArrays:
+    """Every trial's K user channels; row t * K + k holds user k of trial t.
 
     `spec` is `c.distribution_spec()`, built once per run by the caller: an
-    empirical law reads its CSV file when built.
+    empirical law reads its CSV file when built.  Each trial draws from its
+    own streams and writes only its own rows of the preallocated arrays, so
+    `c.threads` changes no value.  Users have one line-of-sight path of gain
+    1 when `c.l_paths` is 1; otherwise L - 1 uniform scatterers and Rician
+    gains (equal-power gains under `equal_gains`).
     """
     cfg = c.array_config()
-    locs = sample_locations(spec, c.k_users, trial_rng(c.seed, "loc", trial))
-    coords = [PolarCoord(float(t), float(r)) for t, r in locs]
-    channels = []
-    for k, coord in enumerate(coords):
-        if c.l_paths == 1:
-            channels.append(los_channel(cfg, coord))
-            continue
-        scat_pts = sample_locations(UniformPolar(c.region()), c.l_paths - 1,
-                                    trial_rng(c.seed, f"scat{k}", trial))
-        scats = [PolarCoord(float(t), float(r)) for t, r in scat_pts]
-        gain_rng = trial_rng(c.seed, f"gain{k}", trial)
-        if equal_gains:
-            channels.append(multipath_channel_equal(cfg, [coord] + scats, gain_rng))
-        else:
-            channels.append(multipath_channel(cfg, coord, scats, c.kappa_db, gain_rng))
-    return channels, coords
+    k_users, paths = c.k_users, c.l_paths
+    rows = c.n_trials * k_users
+    thetas, ranges = np.empty((rows, paths)), np.empty((rows, paths))
+    gains = np.ones((rows, paths), dtype=np.complex128)
+    vectors = np.empty((rows, cfg.num_antennas), dtype=np.complex128)
+    scatter = UniformPolar(c.region())
+
+    def draw(trial: int) -> None:
+        users = slice(trial * k_users, (trial + 1) * k_users)
+        locs = sample_locations(spec, k_users, trial_rng(c.seed, "loc", trial))
+        thetas[users, 0], ranges[users, 0] = locs[:, 0], locs[:, 1]
+        if paths > 1:
+            for k in range(k_users):
+                row = trial * k_users + k
+                scat = sample_locations(scatter, paths - 1,
+                                        trial_rng(c.seed, f"scat{k}", trial))
+                thetas[row, 1:], ranges[row, 1:] = scat[:, 0], scat[:, 1]
+                gain_rng = trial_rng(c.seed, f"gain{k}", trial)
+                gains[row] = (equal_path_gains(paths, gain_rng) if equal_gains
+                              else rician_path_gains(c.kappa_db, paths - 1, gain_rng))
+        vectors[users] = channel_vectors(cfg, thetas[users], ranges[users], gains[users])
+
+    _parallel_trials(draw, c.n_trials, c.threads)
+    return ChannelArrays(thetas, ranges, gains, vectors)
+
+
+def _protocol_inputs(c: ExperimentConfig, channels: ChannelArrays):
+    "The (T, K, M) vectors and (T, K, 2) user locations of drawn channels."
+    vectors = channels.vectors.reshape(c.n_trials, c.k_users, -1)
+    coords = np.stack([channels.thetas[:, 0], channels.ranges[:, 0]], axis=-1)
+    return vectors, coords.reshape(c.n_trials, c.k_users, 2)
 
 
 def run_rate_vs_snr(c: ExperimentConfig):
-    "Sum-rate vs SNR rows for every configured scheme."
+    """Sum-rate vs SNR rows for every configured scheme.
+
+    Drops whose zero forcing met a singular matrix stay in the means, with
+    the regularized beamformer; stderr gets one line per scheme that had any.
+    """
     cfg = c.array_config()
     snrs = c.sweep or (c.snr_db,)
-    spec = c.distribution_spec()
-    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t), c.n_trials, c.threads)
-    vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
-    coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])
+    vectors, coords = _protocol_inputs(c, draw_channels(c, c.distribution_spec()))
     cb2 = rvq_generate(c.k_users, c.b2, "isotropic", stream_seed(c.seed, "rvq"))
     rows = []
     for scheme in sorted(c.schemes):
         full = scheme == "full_csi"
         cb1 = None if full else build_scheme_codebook(c, scheme)
-        rx = _batched_beamformers(cfg, vectors, cb1, cb2, full, coords).rx
+        out = _batched_beamformers(cfg, vectors, cb1, cb2, full, coords)
+        singular = int(np.count_nonzero(out.singular))
+        if singular:
+            print(f"note: {scheme}: zero forcing was singular in {singular} of "
+                  f"{c.n_trials} drops; their regularized rates are in the means",
+                  file=sys.stderr)
         for snr in snrs:
-            sums = zf_rates(rx, 10.0 ** (snr / 10.0), float(cfg.num_antennas)).sum(axis=1)
+            sums = zf_rates(out.rx, 10.0 ** (snr / 10.0), float(cfg.num_antennas)).sum(axis=1)
             rows.append((snr, scheme, "sum_rate_bps_hz", *mean_stderr(sums)))
     return rows
 
@@ -332,20 +366,21 @@ def run_gain_vs_rmax(c: ExperimentConfig):
 
 
 def run_multipath_gain_vs_q(c: ExperimentConfig):
-    "Mean reconstruction correlation of per-path feedback vs range bits per path."
+    """Mean reconstruction correlation of per-path feedback vs range bits per path.
+
+    Path gains are quantized once per run; each codebook then takes one
+    batched pass over all channels.
+    """
     cfg = c.array_config()
     sweep = [int(v) for v in (c.sweep or (c.q,))]
     gain_cb = rvq_generate(c.l_paths, c.b2, "isotropic", stream_seed(c.seed, "gainrvq"))
-    spec = c.distribution_spec()
-    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t, equal_gains=True),
-                             c.n_trials, c.threads)
-    channels = [ch for chans, _ in drawn for ch in chans]
+    channels = draw_channels(c, c.distribution_spec(), equal_gains=True)
+    gains_hat = quantize_path_gains(channels.gains, gain_cb)
     rows = []
     for q in sweep:
         for scheme in sorted(c.schemes):
             cb = build_scheme_codebook(replace(c, q=q), scheme)
-            corrs = np.array([multipath_feedback(cfg, ch, cb, gain_cb)[1]
-                              for ch in channels])
+            corrs = multipath_feedback_batch(cfg, channels, gains_hat, cb)
             rows.append((q, scheme, "channel_correlation", *mean_stderr(corrs)))
     return rows
 
@@ -454,10 +489,7 @@ def theory_report(c: ExperimentConfig) -> str:
     if c.k_users < 2:
         return _theory_csv(rows, c)
     sub = replace(c, n_trials=c.n_mc, schemes=("geometric",))
-    spec = sub.distribution_spec()
-    drawn = _parallel_trials(lambda t: draw_channels(sub, spec, t), sub.n_trials, sub.threads)
-    vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
-    coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])
+    vectors, coords = _protocol_inputs(sub, draw_channels(sub, sub.distribution_spec()))
     cb2 = rvq_generate(sub.k_users, sub.b2, "isotropic", stream_seed(sub.seed, "rvq"))
     geo = _batched_beamformers(cfg, vectors, cb, cb2)
     full = _batched_beamformers(cfg, vectors, None, None, True, coords)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import ArrayConfig, antenna_offsets, steering_matrix_exact
-from .channels import ChannelRealization
+from .channels import ChannelArrays, ChannelRealization, channel_vectors
 from .codebooks import PolarCodebook, grid_locations, grid_phase_diff
 from .parallel import available_cpus, thread_map
 
@@ -494,29 +494,102 @@ def run_protocol(cfg: ArrayConfig, users, cb1: PolarCodebook | None, cb2: RVQCod
                            zf_rates(out.rx[0], p_total, noise_var))
 
 
-def multipath_feedback(cfg: ArrayConfig, h: ChannelRealization, cb1: PolarCodebook,
-                       gain_cb: RVQCodebook) -> tuple[np.ndarray, float]:
-    """Per-path parametric feedback for multi-path channels.
+_GAIN_SCORES = 2**16
+"RVQ scores per step of `quantize_path_gains` (1 MiB as complex128), in whole channels."
+
+_PATH_ROWS = 48
+"""Steering rows per step of `multipath_feedback_batch` (16 channels of 3 paths): each of
+its (48, M) complex temporaries is about 300 kB at M = 387, whatever the channel count."""
+
+
+def nearest_index(values: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Index of the sample nearest each value: `np.abs(values[:, None] - samples).argmin(1)`.
+
+    Found by binary search on the distinct sorted samples, so it costs
+    O(log len(samples)) per value.  Ties go to the lowest index, as argmin's
+    do, also among duplicated samples and among distinct samples whose
+    rounded distances coincide.
+    """
+    distinct, first = np.unique(samples, return_index=True)
+    last = len(distinct) - 1
+    pos = np.searchsorted(distinct, values)
+    lo, hi = np.maximum(pos - 1, 0), np.minimum(pos, last)
+    d_lo, d_hi = np.abs(values - distinct[lo]), np.abs(values - distinct[hi])
+    best = np.minimum(d_lo, d_hi)
+    pick = np.minimum(np.where(d_lo == best, first[lo], len(samples)),
+                      np.where(d_hi == best, first[hi], len(samples)))
+    # the rounded distance |x - s| is monotone on either side of x, so any
+    # further tie is contiguous with lo or hi; walk outward until none is left
+    for edge, step in ((lo, -1), (hi, 1)):
+        while True:
+            nxt = np.clip(edge + step, 0, last)
+            tie = (nxt != edge) & (np.abs(values - distinct[nxt]) == best)
+            if not tie.any():
+                break
+            edge = np.where(tie, nxt, edge)
+            pick = np.where(tie, np.minimum(pick, first[nxt]), pick)
+    return pick
+
+
+def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
+    """Fed-back path gains of N channels (N, L): each row's best RVQ direction (as
+    `phase2_select` picks it), phase-aligned to the row and scaled to its norm.
+
+    The quantized gains depend on neither the location codebook nor its bits,
+    so a run quantizes each channel once.
+    """
+    cw = gain_cb.codewords
+    step = max(1, _GAIN_SCORES // len(cw))
+    # one matrix-vector product per row, the same BLAS call as phase2_select's
+    pick = np.concatenate([
+        (np.abs(np.matmul(cw, gains[lo:lo + step].conj()[:, :, None])[..., 0]) ** 2)
+        .argmax(axis=1) for lo in range(0, len(gains), step)])
+    out = np.empty_like(gains, dtype=np.complex128)
+    for n, (g, direction) in enumerate(zip(gains, cw[pick])):
+        norm = np.linalg.norm(g)
+        if norm == 0:
+            raise ValueError("zero path-gain vector")
+        phase = np.vdot(direction, g)
+        phase = phase / abs(phase) if abs(phase) > 0 else 1.0
+        out[n] = norm * direction * phase
+    return out
+
+
+def multipath_feedback_batch(cfg: ArrayConfig, channels: ChannelArrays, gains_hat: np.ndarray,
+                             cb1: PolarCodebook, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-path parametric feedback for N multi-path channels; returns their (N,)
+    normalized correlations with the reconstructions.
 
     Each path's angle is quantized to the nearest angle sample, its range to
-    the nearest sample in inverse range, and the stacked complex path-gain
-    vector to the best RVQ direction (true magnitude retained).  Returns the
-    reconstructed channel and its normalized correlation with the truth.
+    the nearest sample in inverse range, and the path gains are `gains_hat`
+    (`quantize_path_gains`).  The reconstructions are built `_PATH_ROWS`
+    steering rows at a time and written to `out` (N, M) when it is given.
     """
-    thetas = np.array([p.coord.theta for p in h.paths])
-    ranges = np.array([p.coord.r for p in h.paths])
-    gains = np.array([p.gain for p in h.paths], dtype=np.complex128)
-
-    ai = np.abs(thetas[:, None] - cb1.angle_samples[None, :]).argmin(axis=1)
+    n, paths = channels.thetas.shape
+    ai = nearest_index(channels.thetas.ravel(), cb1.angle_samples).reshape(n, paths)
     inv_samples = np.where(np.isinf(cb1.range_samples), 0.0, 1.0 / cb1.range_samples)
-    ri = np.abs(1.0 / ranges[:, None] - inv_samples[None, :]).argmin(axis=1)
+    ri = nearest_index(1.0 / channels.ranges.ravel(), inv_samples).reshape(n, paths)
+    thetas, ranges = cb1.angle_samples[ai], cb1.range_samples[ri]
+    corr = np.empty(n)
+    step = max(1, _PATH_ROWS // paths)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        h_hat = channel_vectors(cfg, thetas[rows], ranges[rows], gains_hat[rows])
+        if out is not None:
+            out[rows] = h_hat
+        for i, (hh, h) in enumerate(zip(h_hat, channels.vectors[rows]), lo):
+            corr[i] = abs(np.vdot(hh, h)) / (np.linalg.norm(hh) * np.linalg.norm(h))
+    return corr
 
-    _, direction = phase2_select(gains, gain_cb)
-    phase = np.vdot(direction, gains)
-    phase = phase / abs(phase) if abs(phase) > 0 else 1.0
-    gains_hat = np.linalg.norm(gains) * direction * phase
 
-    steer = steering_matrix_exact(cfg, cb1.angle_samples[ai], cb1.range_samples[ri])
-    h_hat = np.sqrt(cfg.num_antennas) * (gains_hat[:, None] * steer).sum(axis=0)
-    corr = abs(np.vdot(h_hat, h.vector)) / (np.linalg.norm(h_hat) * np.linalg.norm(h.vector))
-    return h_hat, float(corr)
+def multipath_feedback(cfg: ArrayConfig, h: ChannelRealization, cb1: PolarCodebook,
+                       gain_cb: RVQCodebook) -> tuple[np.ndarray, float]:
+    """`multipath_feedback_batch` for one channel, its path gains quantized by `gain_cb`.
+
+    Returns the reconstructed channel and its normalized correlation with the truth.
+    """
+    arrays = ChannelArrays.of([h])
+    h_hat = np.empty_like(arrays.vectors)
+    corr = multipath_feedback_batch(cfg, arrays, quantize_path_gains(arrays.gains, gain_cb),
+                                    cb1, h_hat)
+    return h_hat[0], float(corr[0])

@@ -18,9 +18,10 @@ import polarcb as pc
 from polarcb.allocation import optimize_allocation
 from polarcb.array_model import steering_matrix_exact, steering_matrix_fresnel
 from polarcb.distributions import UniformPolar, sample_locations
-from polarcb.experiments import (ExperimentConfig, _parallel_trials, draw_channels,
+from polarcb.experiments import (ExperimentConfig, _protocol_inputs, draw_channels,
                                  run_experiment, stream_seed)
-from polarcb.feedback import best_codeword_scan, run_protocol_batch, rvq_generate, zf_rates
+from polarcb.feedback import (best_codeword_scan, multipath_feedback_batch, quantize_path_gains,
+                              run_protocol_batch, rvq_generate, zf_rates)
 from polarcb.gain_theory import (calibrate, cell_range_error, cell_surrogate_error,
                                  expected_range_error, f_gain, gain_thresholds,
                                  geometric_cells, rate_gap_bound, required_angle_bits,
@@ -41,10 +42,7 @@ def protocol_run():
     "1000 protocol trials at the default setup, all schemes, shared by 9 and 11."
     c = ExperimentConfig(num_antennas=387, p=12, q=3, k_users=4, l_paths=3,
                          kappa_db=9.54, b2=12, n_trials=1000, seed=SEED)
-    spec = c.distribution_spec()
-    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t), c.n_trials, 1)
-    vectors = np.array([[ch.vector for ch in chans] for chans, _ in drawn])
-    coords = np.array([[(co.theta, co.r) for co in cos] for _, cos in drawn])
+    vectors, coords = _protocol_inputs(c, draw_channels(c, c.distribution_spec()))
     cb2 = rvq_generate(4, 12, "isotropic", stream_seed(SEED, "rvq"))
     rx = {}
     for scheme in ("geometric", "hyperbolic", "uniform", "dft", "hybrid"):
@@ -354,16 +352,13 @@ def test_criterion_13_allocation_trend():
 def test_criterion_14_multipath_ordering():
     c = ExperimentConfig(num_antennas=387, p=12, q=3, k_users=1, l_paths=3,
                          n_trials=1000, seed=SEED)
-    spec = c.distribution_spec()
-    drawn = _parallel_trials(lambda t: draw_channels(c, spec, t, equal_gains=True),
-                             c.n_trials, 1)
-    channels = [chans[0] for chans, _ in drawn]
+    channels = draw_channels(c, c.distribution_spec(), equal_gains=True)
     gain_cb = rvq_generate(3, 12, "isotropic", stream_seed(SEED, "gainrvq"))
+    gains_hat = quantize_path_gains(channels.gains, gain_cb)
     corr = {}
     for scheme in ("geometric", "hyperbolic", "uniform"):
         cb = pc.scheme_codebook(CFG387, REGION, scheme, 12, 3)
-        corr[scheme] = np.array([pc.multipath_feedback(CFG387, ch, cb, gain_cb)[1]
-                                 for ch in channels])
+        corr[scheme] = multipath_feedback_batch(CFG387, channels, gains_hat, cb)
     ok = True
     details = []
     for rival in ("hyperbolic", "uniform"):

@@ -9,6 +9,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -31,3 +34,25 @@ def test_traced_bindings_are_the_ones_the_pipeline_calls():
     assert experiments._batched_beamformers is feedback.run_protocol_batch
     params = list(inspect.signature(feedback.best_codeword_scan).parameters)
     assert params == ["cfg", "vectors", "angle_samples", "range_samples", "block"]
+
+
+def test_lloyd_binding_keeps_the_parameters_the_tracer_binds():
+    # the tracer forces return_history and reads max_iters when Lloyd gives up
+    from polarcb.codebooks import LloydConvergenceError, lloyd_range_samples
+
+    params = inspect.signature(lloyd_range_samples).parameters
+    assert {"max_iters", "return_history"} <= set(params)
+    data = 1.0 / np.random.default_rng(3).uniform(1 / 120, 1 / 4, 5000)
+    _, history = lloyd_range_samples(data, 4, 1e-9, return_history=True)
+    iterations = len(history) - 1       # one distortion per iteration plus the final one
+    assert iterations >= 2
+    lloyd_range_samples(data, 4, 1e-9, max_iters=iterations)
+    with pytest.raises(LloydConvergenceError):
+        lloyd_range_samples(data, 4, 1e-9, max_iters=iterations - 1)
+
+
+def test_multipath_feedback_keeps_its_signature():
+    from polarcb import feedback
+
+    params = list(inspect.signature(feedback.multipath_feedback).parameters)
+    assert params == ["cfg", "h", "cb1", "gain_cb"]

@@ -6,8 +6,10 @@ from polarcb import (LloydConvergenceError, assemble_codebook, dft_angle_codeboo
                      hyperbolic_range_samples, lloyd_angle_samples, lloyd_range_samples,
                      scheme_codebook, steering_vector_exact, uniform_angle_samples,
                      uniform_range_samples)
-from polarcb.array_model import PolarCoord, antenna_offsets
-from polarcb.codebooks import load_codebook_binary, load_codebook_csv, scheme_range_samples
+from polarcb.array_model import PolarCoord, PolarRegion, antenna_offsets
+from polarcb.codebooks import (_OBJECTIVE_REL_TOL, _lloyd_1d, load_codebook_binary,
+                               load_codebook_csv, scheme_range_samples)
+from polarcb.distributions import GaussianMixtureRange, sample_locations
 
 
 def test_uniform_angle_values(region):
@@ -135,6 +137,100 @@ def test_lloyd_validation():
         lloyd_range_samples(np.linspace(4, 120, 100), 2, 0.0)
     with pytest.raises(ValueError):
         lloyd_range_samples(np.linspace(4, 120, 100), 2, 1e-6, init="bogus")
+
+
+def _reference_lloyd_1d(values, n_codes, tolerance, max_iters, init, return_history):
+    "The per-cell loop `_lloyd_1d` replaced: np.median of every cell on every iteration."
+    if len(values) < n_codes:
+        raise ValueError(f"need at least {n_codes} data points")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    values = np.sort(np.asarray(values, dtype=np.float64))
+    codes = np.sort(np.asarray(init, dtype=np.float64))
+    history = []
+    prev_obj = np.inf
+    for _ in range(max_iters):
+        edges = (codes[:-1] + codes[1:]) / 2.0
+        cells = np.searchsorted(edges, values)
+        obj = float(np.abs(values - codes[cells]).mean())
+        history.append(obj)
+        counts = np.bincount(cells, minlength=n_codes)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        new_codes = codes.copy()
+        chunks = {i: values[offsets[i]:offsets[i + 1]] for i in range(n_codes)}
+        for i in range(n_codes):
+            if counts[i]:
+                new_codes[i] = np.median(chunks[i])
+        for i in np.nonzero(counts == 0)[0]:
+            big = int(np.argmax(counts))
+            chunk = chunks[big]
+            half = len(chunk) // 2
+            if half == 0:
+                new_codes[i] = new_codes[big]
+                continue
+            new_codes[i] = np.median(chunk[:half])
+            new_codes[big] = np.median(chunk[half:])
+            chunks[i], chunks[big] = chunk[:half], chunk[half:]
+            counts[i], counts[big] = half, len(chunk) - half
+        new_codes = np.sort(new_codes)
+        shift = float(np.max(np.abs(new_codes - codes)))
+        codes = new_codes
+        converged = shift < tolerance or prev_obj - obj < _OBJECTIVE_REL_TOL * max(obj, 1e-300)
+        prev_obj = obj
+        if converged:
+            edges = (codes[:-1] + codes[1:]) / 2.0
+            cells = np.searchsorted(edges, values)
+            history.append(float(np.abs(values - codes[cells]).mean()))
+            return codes, (history if return_history else [])
+    raise LloydConvergenceError(f"no convergence after {max_iters} iterations", codes)
+
+
+def _same_lloyd(values, n_codes, tolerance, max_iters, init):
+    "Both Lloyd loops on one input: equal codes and history bits, or equal partial codes."
+    outcomes = []
+    for lloyd in (_lloyd_1d, _reference_lloyd_1d):
+        try:
+            codes, history = lloyd(values, n_codes, tolerance, max_iters, init, True)
+        except LloydConvergenceError as err:
+            codes, history = err.samples, None
+        outcomes.append((codes, history))
+    (codes, history), (ref_codes, ref_history) = outcomes
+    assert codes.tobytes() == ref_codes.tobytes()
+    assert history == ref_history
+    return history
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("tolerance", [1.0, 1e-6])
+def test_lloyd_matches_per_cell_loop_on_mixture(q, tolerance):
+    region = PolarRegion(-0.5, 0.5, 4.0, 120.0)
+    spec = GaussianMixtureRange(region, ((0.5, 15.0, 5.0), (0.5, 60.0, 20.0)))
+    ranges = sample_locations(spec, 20_000, 11)[:, 1]
+    # the inputs lloyd_range_samples hands to the loop
+    init = np.sort(1.0 / geometric_range_samples(
+        PolarRegion(-1.0, 1.0, ranges.min(), ranges.max()), q))
+    history = _same_lloyd(1.0 / ranges, 2**q, tolerance / ranges.max() ** 2, 400, init)
+    assert history is None or len(history) >= 2
+
+
+def test_lloyd_matches_per_cell_loop_through_reseeds():
+    rng = np.random.default_rng(8)
+    values = rng.uniform(0.0, 1.0, 1001)
+    # every value falls in one cell, so three of the four start empty
+    _same_lloyd(values, 4, 1e-9, 100, np.array([5.0, 6.0, 7.0, 8.0]))
+    # stacked codes leave the middle cells empty; odd and even cell sizes
+    _same_lloyd(values[:1000], 8, 1e-9, 100, np.full(8, 0.5))
+    # as many values as codes: the splits end in cells of one value
+    _same_lloyd(np.array([1.0, 2.0, 3.0, 4.0]), 4, 1e-9, 10, np.array([0.0, 0.0, 0.0, 10.0]))
+    # duplicated values make ties at the cell edges
+    _same_lloyd(np.repeat(rng.uniform(0.0, 1.0, 50), 7), 16, 1e-12, 200,
+                np.sort(rng.uniform(0.0, 1.0, 16)))
+
+
+def test_lloyd_matches_per_cell_loop_when_it_gives_up():
+    rng = np.random.default_rng(2)
+    values = 1.0 / rng.uniform(4, 120, 5000)
+    assert _same_lloyd(values, 8, 1e-15, 2, np.sort(rng.uniform(1 / 120, 1 / 4, 8))) is None
 
 
 def test_lloyd_angle_uniform_recovers_midpoints():

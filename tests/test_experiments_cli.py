@@ -385,6 +385,10 @@ _TINY = "num_antennas = 65\np = 4\nn_trials = 4\nn_mc = 4\nschemes = geometric\n
     ("allocate", "b1 = 3\nscheme = extended\n", "extended"),
     ("allocate", "b1 = 3\nscheme = hybrid\n", "hybrid"),
     ("allocate", "b1 = 3\ndistribution = empirical\nempirical_csv = users.csv\n", "empirical"),
+    ("simulate", "experiment = gain_vs_q\nschemes = extended\nsweep = 2\nn_train = 3\n",
+     "n_train"),
+    ("simulate", "experiment = gain_vs_q\nschemes = extended\nsweep = 2\nlloyd_tolerance = 0\n",
+     "lloyd_tolerance"),
 ])
 def test_cli_limits_are_config_errors(tmp_path, monkeypatch, capsys, command, lines, message):
     # each of these ended in a ValueError traceback (exit 1)
@@ -423,3 +427,68 @@ def test_lloyd_converges_past_the_old_cap(tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
     assert out.read_text().count("extended") == 1
+
+
+def test_singular_zero_forcing_drops_are_reported(tmp_path, capsys):
+    # one RVQ codeword: both users feed back the same direction in every drop
+    text = SMALL.replace("k_users = 3", "k_users = 2") + "b2 = 0\n"
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "geometric: zero forcing was singular in 6 of 6 drops" in err
+    assert "full_csi" not in err
+    rows = out.read_bytes()
+    assert main(["simulate", "--config", _write(tmp_path, text), "--threads", "2"]) == 0
+    assert capsys.readouterr().out.encode() == rows
+    assert main(["simulate", "--config", _write(tmp_path, SMALL)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_multipath_csv_independent_of_threads(tmp_path):
+    text = ("experiment = multipath_gain_vs_q\ndistribution = gmm\n"
+            "gmm_components = 0.5:15:5;0.5:60:20\nschemes = geometric,hybrid,extended\n"
+            "sweep = 2,3\nnum_antennas = 65\np = 5\nk_users = 2\nl_paths = 3\nb2 = 6\n"
+            "n_trials = 23\nn_train = 2000\nseed = 4\n")
+    cfg = _write(tmp_path, text)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 7
+
+
+def _reference_draw(c, spec, trial, equal_gains):
+    "One trial's channel objects, drawn as the runners drew them before the array draw."
+    from polarcb import PolarCoord, los_channel, multipath_channel, multipath_channel_equal
+    from polarcb.distributions import UniformPolar, sample_locations
+
+    cfg = c.array_config()
+    locs = sample_locations(spec, c.k_users, experiments.trial_rng(c.seed, "loc", trial))
+    chans = []
+    for k, (t, r) in enumerate(locs):
+        coord = PolarCoord(float(t), float(r))
+        if c.l_paths == 1:
+            chans.append(los_channel(cfg, coord))
+            continue
+        scat = sample_locations(UniformPolar(c.region()), c.l_paths - 1,
+                                experiments.trial_rng(c.seed, f"scat{k}", trial))
+        scats = [PolarCoord(float(a), float(b)) for a, b in scat]
+        rng = experiments.trial_rng(c.seed, f"gain{k}", trial)
+        chans.append(multipath_channel_equal(cfg, [coord] + scats, rng) if equal_gains
+                     else multipath_channel(cfg, coord, scats, c.kappa_db, rng))
+    return chans
+
+
+@pytest.mark.parametrize("paths,equal_gains,threads", [(3, False, 2), (3, True, 1), (1, False, 3)])
+def test_array_draw_matches_channel_objects(paths, equal_gains, threads):
+    c = ExperimentConfig(num_antennas=65, k_users=3, l_paths=paths, n_trials=7, seed=9,
+                         threads=threads, distribution="hotspot")
+    spec = c.distribution_spec()
+    drawn = experiments.draw_channels(c, spec, equal_gains)
+    for trial in range(c.n_trials):
+        ref = polarcb.ChannelArrays.of(_reference_draw(c, spec, trial, equal_gains))
+        rows = slice(trial * c.k_users, (trial + 1) * c.k_users)
+        for name in ("thetas", "ranges", "gains", "vectors"):
+            assert getattr(drawn, name)[rows].tobytes() == getattr(ref, name).tobytes()

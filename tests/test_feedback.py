@@ -13,8 +13,10 @@ from polarcb import (ArrayConfig, PolarCoord, PolarRegion, ZFSingularError, los_
                      phase2_select, run_protocol, run_protocol_batch, rvq_generate,
                      scheme_codebook, steering_vector_exact, user_rate, zf_beamformer, zf_rates)
 from polarcb.array_model import steering_matrix_exact
+from polarcb.channels import ChannelArrays, ChannelRealization
 from polarcb.codebooks import PolarCodebook
-from polarcb.feedback import best_codeword_scan
+from polarcb.feedback import (best_codeword_scan, multipath_feedback_batch, nearest_index,
+                              quantize_path_gains)
 
 @pytest.fixture(scope="module")
 def small_cb(cfg129, region):
@@ -555,6 +557,124 @@ def test_multipath_feedback_multi_path(cfg129, region, small_cb):
     h = multipath_channel_equal(cfg129, coords, 7)
     _, corr = multipath_feedback(cfg129, h, small_cb, gain_cb)
     assert 0.5 < corr <= 1.0
+
+
+def _reference_multipath_feedback(cfg, h, cb1, gain_cb):
+    "The one-channel body `multipath_feedback_batch` replaced."
+    thetas = np.array([p.coord.theta for p in h.paths])
+    ranges = np.array([p.coord.r for p in h.paths])
+    gains = np.array([p.gain for p in h.paths], dtype=np.complex128)
+
+    ai = np.abs(thetas[:, None] - cb1.angle_samples[None, :]).argmin(axis=1)
+    inv_samples = np.where(np.isinf(cb1.range_samples), 0.0, 1.0 / cb1.range_samples)
+    ri = np.abs(1.0 / ranges[:, None] - inv_samples[None, :]).argmin(axis=1)
+
+    _, direction = phase2_select(gains, gain_cb)
+    phase = np.vdot(direction, gains)
+    phase = phase / abs(phase) if abs(phase) > 0 else 1.0
+    gains_hat = np.linalg.norm(gains) * direction * phase
+
+    steer = steering_matrix_exact(cfg, cb1.angle_samples[ai], cb1.range_samples[ri])
+    h_hat = np.sqrt(cfg.num_antennas) * (gains_hat[:, None] * steer).sum(axis=0)
+    corr = abs(np.vdot(h_hat, h.vector)) / (np.linalg.norm(h_hat) * np.linalg.norm(h.vector))
+    return h_hat, float(corr)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _path_channels(cfg, n, paths, seed, region):
+    rng = np.random.default_rng(seed)
+    return [multipath_channel_equal(cfg, [PolarCoord(t, r) for t, r in zip(
+        rng.uniform(region.theta_min, region.theta_max, paths),
+        rng.uniform(region.r_min, region.r_max, paths))], rng) for _ in range(n)]
+
+
+def _per_path_codebooks(cfg, region):
+    "Geometric, hyperbolic, extended, hybrid (one infinite range) and a 1-angle grid."
+    rng = np.random.default_rng(21)
+    cbs = [scheme_codebook(cfg, region, scheme, 5, 3) for scheme in
+           ("geometric", "hyperbolic", "hybrid")]
+    cbs.append(scheme_codebook(cfg, region, "extended", 5, 3,
+                               lloyd_data=rng.uniform(region.r_min, region.r_max, 4000)))
+    cbs.append(PolarCodebook(cfg, np.array([0.1]), cbs[0].range_samples))
+    assert np.isinf(cbs[2].range_samples).sum() == 1
+    return cbs
+
+
+def _assert_matches_reference(cfg, channels, cb, gain_cb):
+    arrays = ChannelArrays.of(channels)
+    h_hat = np.empty_like(arrays.vectors)
+    corr = multipath_feedback_batch(cfg, arrays, quantize_path_gains(arrays.gains, gain_cb),
+                                    cb, h_hat)
+    for n, h in enumerate(channels):
+        ref_h, ref_corr = _reference_multipath_feedback(cfg, h, cb, gain_cb)
+        one_h, one_corr = multipath_feedback(cfg, h, cb, gain_cb)
+        assert _bits(h_hat[n]) == _bits(one_h) == _bits(ref_h)
+        assert _bits(corr[n]) == _bits(one_corr) == _bits(ref_corr)
+
+
+def test_batched_multipath_feedback_matches_reference(cfg129, region):
+    # 37 channels: two full steps of 16 channels and a partial one
+    channels = _path_channels(cfg129, 37, 3, 5, region)
+    gain_cb = rvq_generate(3, 8, "isotropic", 6)
+    for cb in _per_path_codebooks(cfg129, region):
+        _assert_matches_reference(cfg129, channels, cb, gain_cb)
+    # one path per channel, and more paths than one step's rows
+    geometric = scheme_codebook(cfg129, region, "geometric", 5, 3)
+    for paths, count in ((1, 5), (50, 3)):
+        chans = _path_channels(cfg129, count, paths, 7, region)
+        _assert_matches_reference(cfg129, chans, geometric,
+                                  rvq_generate(paths, 6, "isotropic", 8))
+
+
+def test_batched_multipath_feedback_ties_and_unsorted_samples(cfg129):
+    # a path exactly between two angle samples and, in 1/r, between 4 m and infinity
+    assert 0.5 - 0.25 == 0.75 - 0.5 and 1 / 4 - 1 / 8 == 1 / 8 - 0.0
+    angles = [np.array([0.25, 0.75]), np.array([0.75, 0.25]),
+              np.array([0.75, 0.25, 0.25, 0.75]), np.array([0.5, 0.25, 0.75, 0.25])]
+    ranges = [np.array([4.0, np.inf]), np.array([np.inf, 4.0, 4.0, np.inf]),
+              np.array([16.0, 4.0, 4.0, np.inf])]
+    coords = [PolarCoord(0.5, 8.0), PolarCoord(0.25, 4.0), PolarCoord(0.75, 1e9)]
+    chans = [multipath_channel_equal(cfg129, coords, seed) for seed in range(3)]
+    chans.append(multipath_channel_equal(cfg129, coords[::-1], 3))
+    gain_cb = rvq_generate(3, 4, "isotropic", 9)
+    for a in angles:
+        for r in ranges:
+            _assert_matches_reference(cfg129, chans, PolarCodebook(cfg129, a, r), gain_cb)
+
+
+def test_nearest_index_is_argmin():
+    rng = np.random.default_rng(14)
+    cases = [
+        (rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 37)),
+        (rng.uniform(-1, 1, 500), np.repeat(rng.uniform(-1, 1, 9), 3)),    # duplicates
+        (np.array([0.5, -2.0, 2.0, 0.25, 0.75]), np.array([0.75, 0.25, 0.25, 0.75])),
+        (np.array([0.3]), np.array([0.3])),
+    ]
+    # distinct samples whose rounded distances to a far value coincide
+    s = 0.01
+    near = np.array([np.nextafter(s, 1.0), s, np.nextafter(np.nextafter(s, 1.0), 1.0)])
+    assert len(set((0.9 - near).tolist())) == 1
+    cases += [(np.array([0.9, -0.9, 0.01]), near), (np.array([0.9]), near[::-1])]
+    for values, samples in cases:
+        expected = np.abs(values[:, None] - samples[None, :]).argmin(axis=1)
+        assert nearest_index(values, samples).tolist() == expected.tolist()
+
+
+def test_quantize_path_gains_steps_match_one_channel_calls():
+    rng = np.random.default_rng(15)
+    gains = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    gain_cb = rvq_generate(3, 12, "isotropic", 16)
+    assert 1 < feedback._GAIN_SCORES // 2**12 < len(gains)    # several steps
+    batch = quantize_path_gains(gains, gain_cb)
+    for g, row in zip(gains, batch):
+        _, direction = phase2_select(g, gain_cb)
+        phase = np.vdot(direction, g)
+        assert _bits(row) == _bits(np.linalg.norm(g) * direction * (phase / abs(phase)))
+    with pytest.raises(ValueError):
+        quantize_path_gains(np.zeros((2, 3), complex), gain_cb)
 
 
 def test_batched_path_matches_run_protocol(cfg129, region, small_cb):
