@@ -33,6 +33,10 @@ from . import gain_theory
 
 EXPERIMENTS = ("rate_vs_snr", "gain_vs_q", "gain_vs_m", "gain_vs_rmax", "multipath_gain_vs_q")
 
+MAX_CODEBOOK_ENTRIES = 2**24
+"""Largest codebook a config may ask for: 2^(p+q) phase-1 codewords (2^b1 for
+`allocate`), or 2^b2 * K RVQ entries (2^b2 * L for the path-gain codebook)."""
+
 _INTEGER_SWEEPS = {"gain_vs_q": 0, "gain_vs_m": 1, "multipath_gain_vs_q": 0}
 "Experiments whose sweep values are bit counts (q) or antenna counts (M), with their least value."
 
@@ -194,6 +198,11 @@ def validate_config(c: ExperimentConfig) -> None:
     if least is not None and not all(float(v).is_integer() and v >= least for v in c.sweep):
         raise ConfigError(f"{c.experiment} sweeps integers >= {least}; got {list(c.sweep)}")
     swept_q = c.experiment in ("gain_vs_q", "multipath_gain_vs_q") and c.sweep
+    for bits, columns, what in _codebook_sizes(c, swept_q):
+        # 2^25 already exceeds the cap, so larger bit counts build no huge integer
+        if columns * 2 ** min(bits, 25) > MAX_CODEBOOK_ENTRIES:
+            raise ConfigError(f"{what} would hold {columns} x 2^{bits} entries, above "
+                              f"the cap of 2^24 = {MAX_CODEBOOK_ENTRIES}")
     if (("hybrid" in c.schemes and min(c.sweep if swept_q else (c.q,)) < 1)
             or (c.scheme == "hybrid" and c.q < 1)):
         raise ConfigError("the hybrid scheme needs q >= 1, at q and at every swept q")
@@ -206,6 +215,18 @@ def validate_config(c: ExperimentConfig) -> None:
             raise ConfigError("the extended scheme needs lloyd_tolerance > 0")
     if c.experiment != "rate_vs_snr" and "full_csi" in c.schemes:
         raise ConfigError("full_csi only applies to rate experiments")
+
+
+def _codebook_sizes(c: ExperimentConfig, swept_q: bool):
+    "(bits, columns, name) of every codebook the config sizes: columns x 2^bits entries."
+    q = int(max(c.q, *c.sweep)) if swept_q else c.q
+    sizes = [(c.p + q, 1, f"the phase-1 codebook at p + q = {c.p} + {q}"),
+             (c.b1, 1, f"the allocate codebook at b1 = {c.b1}"),
+             (c.b2, c.k_users, f"the RVQ codebook of K = {c.k_users} users at b2 = {c.b2}")]
+    if c.experiment == "multipath_gain_vs_q":
+        sizes.append((c.b2, c.l_paths, f"the path-gain codebook of L = {c.l_paths} paths "
+                                       f"at b2 = {c.b2}"))
+    return sizes
 
 
 def _check_distribution(c: ExperimentConfig) -> None:
@@ -249,14 +270,23 @@ def _parallel_trials(fn, n_trials: int, threads: int):
     return [result for part in parts for result in part]
 
 
-def build_scheme_codebook(c: ExperimentConfig, scheme: str) -> PolarCodebook:
-    "The named scheme's codebook at the config's p and q."
-    lloyd_data = None
-    if scheme == "extended":
-        pts = sample_locations(c.distribution_spec(), c.n_train, stream_seed(c.seed, "train"))
-        lloyd_data = pts[:, 1]
+def training_ranges(c: ExperimentConfig) -> np.ndarray:
+    "The `extended` scheme's n_train training ranges, drawn from the config's location law."
+    return sample_locations(c.distribution_spec(), c.n_train, stream_seed(c.seed, "train"))[:, 1]
+
+
+def build_scheme_codebook(c: ExperimentConfig, scheme: str, train=None) -> PolarCodebook:
+    """The named scheme's codebook at the config's p and q.
+
+    `train` holds the `extended` scheme's training ranges, `training_ranges(c)`
+    when None; runs that sweep a key the location law does not depend on
+    draw them once and pass them to every codebook.
+    """
+    if scheme == "extended" and train is None:
+        train = training_ranges(c)
     return scheme_codebook(c.array_config(), c.region(), scheme, c.p, c.q,
-                           lloyd_data=lloyd_data, lloyd_tolerance=c.lloyd_tolerance)
+                           lloyd_data=train if scheme == "extended" else None,
+                           lloyd_tolerance=c.lloyd_tolerance)
 
 
 def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
@@ -330,31 +360,38 @@ def run_rate_vs_snr(c: ExperimentConfig):
     return rows
 
 
-def _gain_rows(c: ExperimentConfig, key: str, sweep_values, points_for):
+def _gain_rows(c: ExperimentConfig, key: str, sweep_values, points_for, train=None):
     """Shared shape of the beamforming-gain sweeps: mean best-codeword gain per scheme.
 
     Each sweep value replaces the config field `key`; `points_for(sub, value)`
-    gives the user locations for the replaced config `sub`.
+    gives the user locations for the replaced config `sub`, and `train` the
+    `extended` scheme's training ranges when `key` leaves the location law as it is.
     """
     rows = []
     for value in sweep_values:
         sub = replace(c, **{key: value})
         pts = points_for(sub, value)
         for scheme in sorted(c.schemes):
-            cb = build_scheme_codebook(sub, scheme)
+            cb = build_scheme_codebook(sub, scheme, train)
             rows.append((value, scheme, "beamforming_gain", *mean_best_gain(cb, pts)))
     return rows
 
 
+def _run_training_ranges(c: ExperimentConfig):
+    "The run's `extended` training ranges, drawn once, or None when no scheme trains."
+    return training_ranges(c) if "extended" in c.schemes else None
+
+
 def run_gain_vs_q(c: ExperimentConfig):
     pts = sample_locations(c.distribution_spec(), c.n_trials, stream_seed(c.seed, "gain"))
-    return _gain_rows(c, "q", [int(v) for v in (c.sweep or (c.q,))], lambda sub, q: pts)
+    return _gain_rows(c, "q", [int(v) for v in (c.sweep or (c.q,))], lambda sub, q: pts,
+                      _run_training_ranges(c))
 
 
 def run_gain_vs_m(c: ExperimentConfig):
     pts = sample_locations(c.distribution_spec(), c.n_trials, stream_seed(c.seed, "gain"))
     return _gain_rows(c, "num_antennas", [int(v) for v in (c.sweep or (c.num_antennas,))],
-                      lambda sub, m: pts)
+                      lambda sub, m: pts, _run_training_ranges(c))
 
 
 def run_gain_vs_rmax(c: ExperimentConfig):
@@ -376,10 +413,11 @@ def run_multipath_gain_vs_q(c: ExperimentConfig):
     gain_cb = rvq_generate(c.l_paths, c.b2, "isotropic", stream_seed(c.seed, "gainrvq"))
     channels = draw_channels(c, c.distribution_spec(), equal_gains=True)
     gains_hat = quantize_path_gains(channels.gains, gain_cb)
+    train = _run_training_ranges(c)
     rows = []
     for q in sweep:
         for scheme in sorted(c.schemes):
-            cb = build_scheme_codebook(replace(c, q=q), scheme)
+            cb = build_scheme_codebook(replace(c, q=q), scheme, train)
             corrs = multipath_feedback_batch(cfg, channels, gains_hat, cb)
             rows.append((q, scheme, "channel_correlation", *mean_stderr(corrs)))
     return rows

@@ -3,13 +3,30 @@
 Threads pay off here because the work is numpy ufuncs and BLAS calls, which
 release the GIL.  Callers fix how work is split, so results never depend on
 the number of threads.
+
+A pool owns the cores while it runs: numpy's OpenBLAS, which would start one
+thread per CPU for every call a worker makes, runs with its thread count
+divided among the workers, and gets its count back when the last pool joins.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+
+_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+"OpenBLAS's (get, set) thread-count functions, as plain builds and numpy's wheels name them."
+
+_blas_lock = threading.Lock()
+_blas_pools = 0
+_blas_prior = 0
 
 
 def available_cpus() -> int:
@@ -19,17 +36,82 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _mapped_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process, numpy's first.
+
+    numpy's wheels vendor OpenBLAS in `numpy.libs` next to the package; a
+    system numpy links a system OpenBLAS, outside any wheel's `.libs`
+    directory.  Other wheels' copies (scipy's) are left out.
+    """
+    import numpy
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {fields[5] for fields in map(str.split, fh)
+                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
+    except OSError:
+        return []
+    wheel = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    own = sorted(p for p in paths if os.path.dirname(p) == wheel)
+    return own or sorted(p for p in paths if not os.path.dirname(p).endswith(".libs"))
+
+
+@functools.cache
+def _openblas():
+    "numpy's OpenBLAS (get, set) thread-count functions, or None where none is found."
+    for path in _mapped_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                return getattr(lib, get), getattr(lib, set_)
+    return None
+
+
+@contextmanager
+def _blas_shared(workers: int):
+    """OpenBLAS runs with max(1, prior // workers) threads per call inside the block.
+
+    `prior` is OpenBLAS's count when the first of the open pools opened; a
+    pool never raises the count, and the last pool to close restores it.
+    Without a known OpenBLAS the block runs as it is.
+    """
+    global _blas_pools, _blas_prior
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_pools == 0:
+            _blas_prior = get()
+        _blas_pools += 1
+        cap = max(1, _blas_prior // workers)
+        if cap < get():
+            set_(cap)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pools -= 1
+            if _blas_pools == 0:
+                set_(_blas_prior)
+
+
 @contextmanager
 def thread_map(workers: int):
     """An ordered map for the `with` block: map(fn, items) yields fn(item) in item order.
 
     The calls run on `workers` threads that serve every map made in the
-    block; with one worker (or fewer) they run inline, without a pool.
+    block; with one worker (or fewer) they run inline, without a pool.  While
+    the pool runs, OpenBLAS's threads are shared among its workers.
     """
     if workers <= 1:
         yield map
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _blas_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool.map
 
 

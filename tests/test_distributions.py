@@ -106,6 +106,19 @@ def test_rejection_sampling_is_bounded(region):
     assert truncation_mass(UniformPolar(region)) == 1.0
 
 
+@pytest.mark.parametrize("name", ["gauss", "gmm"])
+def test_truncation_mass_matches_ndtr(specs, region, name):
+    from scipy.special import ndtr
+
+    from polarcb.distributions import truncation_mass
+
+    spec = specs[name]
+    comps = spec.components if name == "gmm" else ((1.0, spec.mean, spec.std),)
+    ref = sum(w * (ndtr((region.r_max - mu) / sd) - ndtr((region.r_min - mu) / sd))
+              for w, mu, sd in comps)
+    assert abs(truncation_mass(spec) - ref) <= 1e-15
+
+
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "users.csv"
     path.write_text("theta,r_m\n0.1,10.0\n-0.2,55.5\n")

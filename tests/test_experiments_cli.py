@@ -340,6 +340,18 @@ def test_cli_import_skips_slow_scipy_modules(tmp_path):
     assert "'scipy.stats'" not in loaded and "'scipy.optimize'" not in loaded
 
 
+def test_gmm_config_loads_without_scipy_special(tmp_path):
+    # validation computes the mixture's truncation mass; scipy.special cost 0.33 s of set-up
+    cfg = tmp_path / "gmm.cfg"
+    cfg.write_text("experiment = multipath_gain_vs_q\ndistribution = gmm\n"
+                   "gmm_components = 0.5:15:5;0.5:60:20\nk_users = 1\nschemes = geometric\n")
+    loaded = _cli_process(["-c", "import sys; from polarcb.experiments import load_config; "
+                           f"load_config({str(cfg)!r}); print(sorted(sys.modules))"],
+                          tmp_path, timeout=60)
+    assert "'polarcb.experiments'" in loaded
+    assert "'scipy.special'" not in loaded
+
+
 @pytest.mark.parametrize("experiment", ["rate_vs_snr", "multipath_gain_vs_q"])
 def test_empirical_csv_read_once_per_run(tmp_path, monkeypatch, experiment):
     users = tmp_path / "users.csv"
@@ -389,6 +401,13 @@ _TINY = "num_antennas = 65\np = 4\nn_trials = 4\nn_mc = 4\nschemes = geometric\n
      "n_train"),
     ("simulate", "experiment = gain_vs_q\nschemes = extended\nsweep = 2\nlloyd_tolerance = 0\n",
      "lloyd_tolerance"),
+    # these asked numpy for 8-32 TiB (an _ArrayMemoryError traceback)
+    ("simulate", "p = 40\n", "phase-1 codebook"),
+    ("simulate", "experiment = gain_vs_q\np = 12\nsweep = 3,13\n", "phase-1 codebook"),
+    ("allocate", "b1 = 40\n", "allocate codebook"),
+    ("simulate", "b2 = 40\n", "RVQ codebook"),
+    ("simulate", "experiment = multipath_gain_vs_q\nk_users = 1\nl_paths = 2\nb2 = 24\n"
+                 "sweep = 2\n", "path-gain codebook"),
 ])
 def test_cli_limits_are_config_errors(tmp_path, monkeypatch, capsys, command, lines, message):
     # each of these ended in a ValueError traceback (exit 1)
@@ -400,6 +419,38 @@ def test_cli_limits_are_config_errors(tmp_path, monkeypatch, capsys, command, li
     argv = [command, "--config", _write(tmp_path, text + lines), "--out", str(tmp_path / "o")]
     assert _main_within(argv, 10.0) == 2
     assert message in capsys.readouterr().err
+
+
+def test_extended_training_ranges_drawn_once_per_run(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, """
+experiment = multipath_gain_vs_q
+num_antennas = 33
+p = 3
+k_users = 1
+l_paths = 2
+b2 = 4
+n_trials = 4
+n_train = 400
+sweep = 2,3,4
+schemes = geometric,extended
+distribution = gmm
+gmm_components = 0.5:15:5;0.5:60:20
+""")
+    train = experiments.stream_seed(0, "train")
+    draws = []
+    sample = experiments.sample_locations
+    monkeypatch.setattr(experiments, "sample_locations", lambda spec, n, seed: (
+        draws.append(seed == train) or sample(spec, n, seed)))
+    outputs = []
+    for per_codebook in (False, True):
+        if per_codebook:     # the old way: each codebook draws its own copy
+            monkeypatch.setattr(experiments, "_run_training_ranges", lambda c: None)
+        draws.clear()
+        out = tmp_path / f"per_codebook_{per_codebook}.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append((draws.count(True), out.read_bytes()))
+    assert [n for n, _ in outputs] == [1, 3]
+    assert outputs[0][1] == outputs[1][1]
 
 
 def test_single_sample_stderr_is_zero():
