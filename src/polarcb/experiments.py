@@ -175,6 +175,12 @@ def validate_config(c: ExperimentConfig) -> None:
         raise ConfigError(f"values must be finite numbers: {bad}")
     if c.carrier_ghz <= 0:
         raise ConfigError("carrier_ghz must be > 0")
+    decibels = [(key, getattr(c, key)) for key in _DB_KEYS]
+    if c.experiment == "rate_vs_snr":
+        decibels += [("sweep", v) for v in c.sweep]
+    bad = sorted({key for key, value in decibels if not _power_ratio_finite(value)})
+    if bad:
+        raise ConfigError(f"dB values must have a finite power ratio 10^(x/10): {bad}")
     bad = [key for key in ("p", "q", "b2", "b1") if getattr(c, key) < 0]
     if bad:
         raise ConfigError(f"bit counts must be >= 0: {bad}")
@@ -215,6 +221,18 @@ def validate_config(c: ExperimentConfig) -> None:
             raise ConfigError("the extended scheme needs lloyd_tolerance > 0")
     if c.experiment != "rate_vs_snr" and "full_csi" in c.schemes:
         raise ConfigError("full_csi only applies to rate experiments")
+
+
+_DB_KEYS = ("kappa_db", "snr_db")
+"Keys given in dB; each enters the run as the power ratio 10^(x/10)."
+
+
+def _power_ratio_finite(db: float) -> bool:
+    "Whether 10^(db/10) is a finite float, as the run computes it."
+    try:
+        return math.isfinite(10.0 ** (db / 10.0))
+    except OverflowError:
+        return False
 
 
 def _codebook_sizes(c: ExperimentConfig, swept_q: bool):

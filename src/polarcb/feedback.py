@@ -3,6 +3,7 @@ quantization, zero-forcing digital beamforming and per-user rates."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,19 @@ MAX_ZF_CONDITION = 1e8
 
 
 SCAN_CHUNK = 1024
-"""Codewords per phase-1 scan job, and (row, codeword) pairs per rescoring step.
-Fixed, so chunk boundaries, and with them the selected indices and gains, do
-not depend on the number of CPUs."""
+"""Codewords per phase-1 scan job.  Fixed, so chunk boundaries, and with them
+the selected indices and gains, do not depend on the number of CPUs."""
+
+_ROW_BLOCK = 128
+"""Rows per complex64 product of the phase-1 scan.  The product and its float64
+modulus take 16 bytes per score, 2 MiB at a full chunk, whatever the number of
+rows."""
+
+_BUILD_STEP = 128
+"Codewords per step of `_bulk_conj_codewords`: its float64 temporaries stay near 0.4 MB at M = 387."
+
+_RESCORE_PAIRS = 256
+"(row, codeword) pairs per rescoring step of the phase-1 scan (see `_rescore`)."
 
 _U32 = 2.0**-24
 "Unit roundoff of float32."
@@ -46,23 +57,31 @@ def _bulk_conj_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: 
     The phase k (r^(m) - r) is formed in float64 exactly as the float64 build
     forms it, reduced to [-pi, pi] in float64, and only then cast to float32,
     so the float32 cos and sin see a phase whose cast costs at most pi * u.
+    Every step is elementwise, so the result is built `_BUILD_STEP` codewords
+    at a time, straight into the complex64 output.
     """
-    phase = grid_phase_diff(cfg, angle_samples, range_samples, start, stop)
-    phase *= cfg.wavenumber
-    turns = np.multiply(phase, 1.0 / _TWO_PI)
-    np.rint(turns, out=turns)
-    turns *= _TWO_PI
-    phase -= turns
-    phase32 = phase.astype(np.float32)
-    cw = np.empty(phase32.shape, np.complex64)
-    np.cos(phase32, out=cw.real)
-    np.sin(phase32, out=cw.imag)
+    cw = np.empty((stop - start, cfg.num_antennas), np.complex64)
+    for lo in range(start, stop, _BUILD_STEP):
+        out = slice(lo - start, min(lo + _BUILD_STEP, stop) - start)
+        phase = grid_phase_diff(cfg, angle_samples, range_samples, lo, start + out.stop)
+        phase *= cfg.wavenumber
+        turns = np.multiply(phase, 1.0 / _TWO_PI)
+        np.rint(turns, out=turns)
+        turns *= _TWO_PI
+        phase -= turns
+        phase32 = phase.astype(np.float32)
+        np.cos(phase32, out=cw.real[out])
+        np.sin(phase32, out=cw.imag[out])
     return cw
 
 
 def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray) -> np.ndarray:
-    "Bulk scores |v^H b| * sqrt(M) of complex64 rows against `_bulk_conj_codewords`, in float64."
-    return np.abs((rows32 @ cw32.T).astype(np.complex128))
+    """Bulk scores |v^H b| * sqrt(M) of complex64 rows against `_bulk_conj_codewords`, in float64.
+
+    The modulus is the complex128 one of the exactly widened product; numpy
+    widens it in small buffers, so no complex128 copy of the product exists.
+    """
+    return np.abs(rows32 @ cw32.T, dtype=np.float64)
 
 
 def _pow2_scaled(vectors: np.ndarray) -> np.ndarray:
@@ -169,7 +188,9 @@ def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples
     Each distinct codeword is built once with `steering_matrix_exact`; each
     pair is reduced by an elementwise product and a numpy sum, whose order
     depends on M alone, so a pair's gain does not depend on BLAS, threads or
-    which other pairs are rescored with it.
+    which other pairs are rescored with it.  That lets the scan rescore its
+    survivors `_RESCORE_PAIRS` at a time: three (pairs, M) complex128 arrays,
+    4.8 MB at M = 387.
     """
     uniq, inv = np.unique(flats, return_inverse=True)
     cw = steering_matrix_exact(cfg, *grid_locations(angle_samples, range_samples, uniq))
@@ -177,6 +198,28 @@ def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples
     prod = cw[inv]
     prod *= vectors[rows]
     return np.abs(prod.sum(axis=1))
+
+
+def _member_chunks(first: np.ndarray, size: np.ndarray, nq: int, chunk: int):
+    """The scan chunks that clusters' members fall in, as layers of (clusters, chunks).
+
+    Cluster i's members sit at flat indices first[i] + t nq for t < size[i].
+    Layer l pairs each cluster that meets more than l chunks with the
+    (l + 1)-th of them.  `first` increases, so within a layer the chunks do
+    not decrease.
+    """
+    if nq <= chunk:     # members at most a chunk apart: every chunk from the first's to the last's
+        lead = first // chunk
+        span = (first + (size - 1) * nq) // chunk - lead
+        return [(np.flatnonzero(span >= l), lead[span >= l] + l) for l in range(span.max() + 1)]
+    return [(np.flatnonzero(size > t), (first[size > t] + t * nq) // chunk)    # a chunk per member
+            for t in range(size.max())]
+
+
+def _ceil32(x: np.ndarray) -> np.ndarray:
+    "The least float32 values no smaller than float64 `x`."
+    y = x.astype(np.float32)
+    return np.where(y < x, np.nextafter(y, np.float32(np.inf)), y)
 
 
 def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.ndarray,
@@ -194,92 +237,117 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     of G adjacent angle samples at one range sample (`_cluster_size`), each
     with a representative and a radius rho (`_angle_clusters`), so no member
     scores above its representative's exact score plus ||v|| sqrt(M) rho.
+    The flat index range is cut into chunks of min(block, SCAN_CHUNK)
+    codewords, whatever the ring structure.
 
-    Pass A (only when G > 1) scores the representatives and keeps each
-    row's best bulk score `top`.  Pass B cuts the flat index range into
-    chunks of min(block, SCAN_CHUNK) codewords, whatever the ring structure.
-    A chunk rescores the representatives of its clusters and keeps, per row,
-    the clusters with s_rep + ||v|| sqrt(M) rho >= top - 2E; a row that keeps
-    none of them cannot reach its float64 maximum in the chunk.  The chunk
-    builds its codewords only if some row keeps one of its clusters, scores
-    them against those rows with one complex64 product, and keeps, per row,
-    each codeword within 2E of the best of `top` and the chunk's best.  The
-    main thread takes the chunks in flat order and drops, as each arrives,
-    its codewords more than 2E below the row's best bulk score so far, and
-    once every chunk is in, those more than 2E below the final best.  A
-    codeword whose float64 gain equals the row's maximum scores within E of
-    it, and no bulk score exceeds it by more than E, so all of them survive.
-    With G = 1 there is no pass A and every row meets every chunk.  Both
-    passes run on up to block // chunk threads, one per available CPU
-    (numpy's ufuncs and BLAS release the GIL); a job builds at most `chunk`
-    codewords at a time, so at most `block` are in flight.
+    Pass A (only when G > 1) scores each representative once.  It keeps each
+    row's best bulk score `top` and, per row and chunk, the largest
+    s_rep + ||v|| sqrt(M) rho over the clusters with a member in the chunk,
+    rounded upward to float32.  In pass B a row meets a chunk only if that
+    bound reaches top - 2E; a row that does not cannot reach its float64
+    maximum in the chunk.  The chunk builds its codewords only if some row
+    meets it, scores them against those rows, and keeps, per row, each
+    codeword within 2E of the best of `top` and the chunk's best.  The main
+    thread takes the chunks in flat order and drops, as each arrives, its
+    codewords more than 2E below the row's best bulk score so far, and once
+    every chunk is in, those more than 2E below the final best.  A codeword
+    whose float64 gain equals the row's maximum scores within E of it, and
+    no bulk score exceeds it by more than E, so all of them survive.  With
+    G = 1 there is no pass A and every row meets every chunk.
 
     Pass C rescores the surviving (row, codeword) pairs in float64, in flat
-    order, in steps of at most min(block, SCAN_CHUNK) pairs on the same
-    threads, and keeps per row the largest gain, the lowest flat index among
-    equal gains.  Which pairs survive may vary with BLAS's summation order,
-    but neither the gain of a pair nor the set of pairs reaching the maximum,
-    so results depend neither on the number of CPUs nor on BLAS's thread
-    count.
+    order, in steps of at most min(block, _RESCORE_PAIRS) pairs, and keeps
+    per row the largest gain, the lowest flat index among equal gains.
+    Which pairs survive may vary with BLAS's summation order, but neither
+    the gain of a pair nor the set of pairs reaching the maximum, so results
+    depend neither on the number of CPUs nor on BLAS's thread count.
+
+    Every pass runs on up to block // chunk threads, one per available CPU
+    (numpy's ufuncs and BLAS release the GIL).  A job builds at most `chunk`
+    codewords at a time, so at most `block` are in flight, and scores them
+    `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
+    (8 M bytes per codeword) and 16 bytes per score of one row block.
+    Growing with n are a complex64 copy of the rows (8 M bytes per row), a
+    few float64 per row, the pass-A bound (4 bytes per row and chunk) and
+    the survivors (24 bytes each).
     """
     vectors = np.atleast_2d(vectors)
-    n = vectors.shape[0]
+    n, m = vectors.shape
     nq = len(range_samples)
     total = len(angle_samples) * nq
     chunk = min(block, SCAN_CHUNK)
-    starts = range(0, total, chunk)
+    n_chunks = -(-total // chunk)
     best = np.zeros(n)
     best_idx = np.zeros(n, dtype=np.int64)
 
-    live = np.flatnonzero(np.abs(vectors).max(axis=1) > 0)
-    scaled = _pow2_scaled(vectors[live])
-    margin = 2.0 * _bulk_error_bound(cfg, scaled)
-    rows32 = scaled.astype(np.complex64)
+    peak = np.zeros(n)
+    for lo in range(0, n, _ROW_BLOCK):
+        peak[lo:lo + _ROW_BLOCK] = np.abs(vectors[lo:lo + _ROW_BLOCK]).max(axis=1)
+    live = np.flatnonzero(peak > 0)
+    blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(live), _ROW_BLOCK)]
+    rows32 = np.empty((len(live), m), np.complex64)
+    margin, reach = np.empty(len(live)), np.empty(len(live))
+    for rows in blocks:
+        scaled = _pow2_scaled(vectors[live[rows]])
+        rows32[rows] = scaled
+        margin[rows] = 2.0 * _bulk_error_bound(cfg, scaled)
+        reach[rows] = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
     everyone = np.arange(len(live))
 
     group = _cluster_size(cfg, angle_samples)
     rep, radius = _angle_clusters(cfg, angle_samples, group)
     rep_angles = np.asarray(angle_samples)[rep]
-    reach = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
+    sizes = np.minimum(group, len(angle_samples) - np.arange(len(rep)) * group)
+    n_reps = len(rep) * nq
+    top = np.full(len(live), -np.inf)
+    bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
+    lock = threading.Lock()
 
-    def rep_scores(lo, hi):
-        "Bulk scores of every row against representatives lo..hi-1 of the (cluster, ring) grid."
-        return _bulk_scores(rows32, _bulk_conj_codewords(cfg, rep_angles, range_samples, lo, hi))
+    def pass_a(lo):
+        "Representatives lo..lo+chunk-1 of the (cluster, ring) grid raise `top` and `bound`."
+        cluster, ring = np.divmod(np.arange(lo, min(lo + chunk, n_reps)), nq)
+        layers = []
+        for pos, chunks in _member_chunks(cluster * group * nq + ring, sizes[cluster], nq,
+                                          chunk):
+            cut = np.flatnonzero(np.diff(chunks, prepend=-1))
+            layers.append((pos, cut, chunks[cut]))
+        cw = _bulk_conj_codewords(cfg, rep_angles, range_samples, lo, lo + len(ring))
+        for rows in blocks:
+            s = _bulk_scores(rows32[rows], cw)
+            s_top = s.max(axis=1)
+            s += reach[rows, None] * radius[cluster]
+            raised = [(chunks, _ceil32(np.maximum.reduceat(s[:, pos], cut, axis=1)).T)
+                      for pos, cut, chunks in layers]
+            with lock:
+                np.maximum(top[rows], s_top, out=top[rows])
+                for chunks, b in raised:
+                    bound[chunks, rows] = np.maximum(bound[chunks, rows], b)
 
-    def rows_keeping(start, stop):
-        "The rows that keep a cluster with a member among codewords start..stop-1."
-        angle, ring = np.divmod(np.arange(start, stop), nq)
-        reps = np.unique(angle // group * nq + ring)
-        keeps = np.zeros(len(live), dtype=bool)
-        for part in np.split(reps, np.flatnonzero(np.diff(reps // chunk)) + 1):
-            s = rep_scores(part[0], part[-1] + 1)[:, part - part[0]]
-            s += reach[:, None] * radius[part // nq]
-            keeps |= (s >= floor[:, None]).any(axis=1)
-        return np.flatnonzero(keeps)
-
-    def score(start):
-        stop = min(start + chunk, total)
-        rows = rows_keeping(start, stop) if group > 1 else everyone
+    def score(k):
+        "Chunk k against the rows that meet it: their best bulk scores and survivors."
+        start, stop = k * chunk, min((k + 1) * chunk, total)
+        rows = np.flatnonzero(bound[k] >= floor) if group > 1 else everyone
         if not len(rows):
             return rows, np.empty(0), rows, rows, np.empty(0)
         cw = _bulk_conj_codewords(cfg, angle_samples, range_samples, start, stop)
-        g = _bulk_scores(rows32 if len(rows) == len(live) else rows32[rows], cw)
-        chunk_top = g.max(axis=1)
-        row, k = np.nonzero(g >= (np.maximum(chunk_top, top[rows]) - margin[rows])[:, None])
-        return rows, chunk_top, rows[row], start + k, g[row, k]
+        tops, found = [], []
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            part = rows[lo:lo + _ROW_BLOCK]
+            g = _bulk_scores(rows32[part], cw)
+            part_top = g.max(axis=1)
+            row, col = np.nonzero(g >= (np.maximum(part_top, top[part]) - margin[part])[:, None])
+            tops.append(part_top)
+            found.append((part[row], start + col, g[row, col]))
+        return (rows, np.concatenate(tops), *map(np.concatenate, zip(*found)))
 
-    top = np.full(len(live), -np.inf)
-    workers = min(available_cpus(), block // chunk, len(starts))
+    workers = min(available_cpus(), block // chunk, n_chunks)
     with thread_map(workers) as pmap:
         if group > 1:
-            n_reps = len(rep) * nq
-            for part_top in pmap(lambda lo: rep_scores(lo, min(lo + chunk, n_reps)).max(axis=1),
-                                 range(0, n_reps, chunk)):
-                np.maximum(top, part_top, out=top)
+            list(pmap(pass_a, range(0, n_reps, chunk)))
         floor = top - margin
         final = top.copy()
         parts = [(everyone[:0], everyone[:0], np.empty(0))]
-        for rows, chunk_top, row, flat, s in pmap(score, starts):
+        for rows, chunk_top, row, flat, s in pmap(score, range(n_chunks)):
             final[rows] = np.maximum(final[rows], chunk_top)
             kept = s >= (final - margin)[row]
             parts.append((row[kept], flat[kept], s[kept]))
@@ -287,9 +355,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
+        step = min(chunk, _RESCORE_PAIRS)
         rescored = list(pmap(lambda i: _rescore(cfg, vectors, angle_samples, range_samples,
-                                                rows[i:i + chunk], flats[i:i + chunk]),
-                             range(0, len(rows), chunk)))
+                                                rows[i:i + step], flats[i:i + step]),
+                             range(0, len(rows), step)))
     gains = np.concatenate([np.empty(0), *rescored])
     pick = np.lexsort((flats, -gains, rows))
     first = np.ones(len(pick), dtype=bool)
@@ -405,8 +474,22 @@ def user_rate(h, f_rf: np.ndarray, f_bb: np.ndarray, k: int, p_total: float,
     return float(zf_rates(np.broadcast_to(rx, (len(rx), len(rx))), p_total, noise_var)[k])
 
 
-_PHASE2_SCORES = 2**20
-"RVQ scores per phase-2 step (24 MiB as complex128 plus float64 modulus), in whole drops."
+_PHASE2_SCORES = 2**16
+"""RVQ scores per phase-2 step, in whole drops: 24 bytes each (complex128 product and
+float64 modulus), 1.5 MiB.  A step holds at least one drop's K 2^b2 scores."""
+
+
+def _rvq_pick(g: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    """Each row's best RVQ codeword, argmax_c |sum_j codewords[c, j] g[t, k, j]|, for g (T, K, K).
+
+    One matrix product per step of `_PHASE2_SCORES` scores; ties pick the
+    lowest index.
+    """
+    n_trials, k_users, _ = g.shape
+    step = max(1, _PHASE2_SCORES // (k_users * len(codewords)))
+    return np.concatenate([
+        np.abs(g[t:t + step].reshape(-1, k_users) @ codewords.T).argmax(axis=1)
+        for t in range(0, n_trials, step)]).reshape(n_trials, k_users)
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,10 +512,9 @@ def run_protocol_batch(cfg: ArrayConfig, vectors: np.ndarray, cb1: PolarCodebook
 
     Phase 1 is one `best_codeword_scan` over all T K rows (under `full_csi`,
     exact beams aimed at `coords` (T, K, 2) of (theta, r), and no phase 2).
-    Phase 2 quantizes each effective-channel row to its best RVQ codeword,
-    `_PHASE2_SCORES` scores at a time.  Zero forcing runs on the quantized
-    rows; a singular drop is flagged, and users sharing a direction in it
-    see outage-level rates.
+    Phase 2 quantizes each effective-channel row to its best RVQ codeword
+    (`_rvq_pick`).  Zero forcing runs on the quantized rows; a singular drop
+    is flagged, and users sharing a direction in it see outage-level rates.
     """
     n_trials, k_users, m = vectors.shape
     if full_csi:
@@ -448,11 +530,7 @@ def run_protocol_batch(cfg: ArrayConfig, vectors: np.ndarray, cb1: PolarCodebook
     if full_csi:
         ghat = g
     else:
-        step = max(1, _PHASE2_SCORES // (k_users * len(cb2.codewords)))
-        pick = np.concatenate([
-            np.abs(np.einsum("cj,tkj->tkc", cb2.codewords, g[t:t + step])).argmax(axis=2)
-            for t in range(0, n_trials, step)])
-        ghat = cb2.codewords[pick].conj()
+        ghat = cb2.codewords[_rvq_pick(g, cb2.codewords)].conj()
     f_bb, singular = _zero_forcing(ghat)
     hybrid = np.einsum("tmk,tkl->tml", f_rf, f_bb)
     scale = np.maximum(np.linalg.norm(hybrid, axis=1, keepdims=True), 1e-300)

@@ -44,14 +44,19 @@ def mean_vartheta(region: PolarRegion) -> float:
     return 1.0 - (a * a + a * b + b * b) / 3.0
 
 
+_GRID_STEP = 1024
+"Grid points per `slice_fn` call of `_first_derivative_root`."
+
+
 def _first_derivative_root(slice_fn, x_hi: float, n_grid: int = 20001) -> float:
     """First zero of the numerical derivative of `slice_fn` on (0, x_hi).
 
     Scans a uniform grid for the first sign change of the central difference
-    and polishes it with bracketed root-finding.
+    and polishes it with bracketed root-finding.  `slice_fn` broadcasts over
+    an array of points; the grid goes through it `_GRID_STEP` points at a time.
     """
     xs = np.linspace(x_hi / n_grid, x_hi, n_grid)
-    vals = np.array([slice_fn(x) for x in xs])
+    vals = np.concatenate([slice_fn(xs[i:i + _GRID_STEP]) for i in range(0, n_grid, _GRID_STEP)])
     dv = np.diff(vals)
     sign_flips = np.nonzero(np.sign(dv[:-1]) != np.sign(dv[1:]))[0]
     if len(sign_flips) == 0:

@@ -236,6 +236,9 @@ def test_cli_bad_distribution_is_config_error(tmp_path, lines):
     ("snr_db = inf", "finite"),                  # wrote a nan mean with exit 0
     ("kappa_db = nan", "finite"),
     ("sweep = nan", "finite"),                   # ran with exit 0
+    ("kappa_db = 1e6", "power ratio"),           # were OverflowError tracebacks
+    ("snr_db = 1e6", "power ratio"),
+    ("sweep = 10,1e6", "power ratio"),           # rate_vs_snr sweeps snr_db
 ])
 def test_cli_out_of_range_numbers_are_config_errors(tmp_path, capsys, setting, message):
     key = setting.split("=")[0].strip()
@@ -243,6 +246,16 @@ def test_cli_out_of_range_numbers_are_config_errors(tmp_path, capsys, setting, m
                      if line.split("=")[0].strip() != key) + f"\n{setting}\n"
     assert _main_within(["simulate", "--config", _write(tmp_path, text)], 10.0) == 2
     assert message in capsys.readouterr().err
+
+
+def test_db_values_need_a_finite_power_ratio():
+    validate_config(ExperimentConfig(kappa_db=3080.0, snr_db=-1e6, sweep=(0.0, 3080.0)))
+    for bad in ({"kappa_db": 3090.0}, {"snr_db": 3090.0}, {"sweep": (0.0, 3090.0)}):
+        with pytest.raises(ConfigError, match="power ratio"):
+            validate_config(ExperimentConfig(**bad))
+    # other experiments sweep no dB value
+    validate_config(ExperimentConfig(experiment="gain_vs_rmax", schemes=("geometric",),
+                                     sweep=(30.0, 120.0)))
 
 
 def test_truncation_mass_floor():

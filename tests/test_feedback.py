@@ -1,12 +1,14 @@
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import polarcb.feedback as feedback
+import polarcb.parallel
 
 from polarcb import (ArrayConfig, PolarCoord, PolarRegion, ZFSingularError, los_channel,
                      multipath_channel, multipath_channel_equal, multipath_feedback, phase1_select,
@@ -173,6 +175,42 @@ def test_scan_independent_of_cpu_count(cfg129, region, monkeypatch, recorded_poo
     assert np.abs(runs[0][0] - ref_gain).max() <= 1e-12
 
 
+def test_scan_pass_a_keeps_every_update_under_many_workers(cfg129, region, monkeypatch,
+                                                          recorded_pools):
+    # four workers, more than the cores of a small host, raise `top` and the
+    # pass-A bounds of the same rows at once; a lost update would change
+    # which rows meet which chunk, and so the number of bulk scores
+    cb = scheme_codebook(cfg129, region, "geometric", 12, 4)
+    group = feedback._cluster_size(cfg129, cb.angle_samples)
+    assert len(cb) // group >= 4 * feedback.SCAN_CHUNK      # a pass-A job per worker
+    vecs = _scan_vectors(cfg129, region, 20)
+    scored = []
+    scores = feedback._bulk_scores
+
+    def counted(rows32, cw32):
+        scored.append(len(rows32) * len(cw32))
+        return scores(rows32, cw32)
+
+    monkeypatch.setattr(feedback, "_bulk_scores", counted)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # one BLAS thread in every run, so that the bulk scores repeat exactly
+        with polarcb.parallel._blas_shared(64):
+            for cpus in (1, 4, 4):
+                monkeypatch.setattr(feedback, "available_cpus", lambda cpus=cpus: cpus)
+                scored.clear()
+                runs.append((*best_codeword_scan(cfg129, vecs, cb.angle_samples,
+                                                 cb.range_samples), sum(scored)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert recorded_pools == [4, 4]
+    for gain, idx, count in runs[1:]:
+        assert count == runs[0][2]
+        assert np.array_equal(idx, runs[0][1]) and gain.tobytes() == runs[0][0].tobytes()
+
+
 @pytest.mark.parametrize("block,workers", [(2048, 2), (2500, 2), (3072, 3)])
 def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded_pools,
                                                   block, workers):
@@ -195,7 +233,11 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
     monkeypatch.setattr(feedback, "available_cpus", lambda: 8)
     angles = np.linspace(-0.5, 0.5, 6000)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
-    best_codeword_scan(cfg129, h, angles, np.array([30.0]), block=block)
+    # one antenna alone scores every codeword 1 / sqrt(M) up to rounding, so
+    # that row meets every chunk and the workers' chunk builds overlap
+    vecs = np.vstack([h, np.eye(129)[0]])
+    _, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]), block=block)
+    assert np.array_equal(idx, _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))[1])
     assert recorded_pools == [workers]
     assert feedback.SCAN_CHUNK < live[1] <= block
     assert live[0] == 0
@@ -772,8 +814,9 @@ def test_protocol_batch_phase1_gains_are_the_scan_gains(cfg129, small_cb):
 
 
 def test_phase2_chunks_pick_the_unchunked_argmax(cfg129, small_cb):
-    k_users, b2, n_trials = 4, 14, 40
+    k_users, b2 = 4, 12
     step = feedback._PHASE2_SCORES // (k_users * 2**b2)
+    n_trials = 2 * step + max(1, step // 2)
     assert 1 <= step < n_trials and n_trials % step     # several steps, the last one partial
     _, vectors, _ = _drops(cfg129, n_trials, k_users, 33)
     cb2 = rvq_generate(k_users, b2, "isotropic", 5)
@@ -781,3 +824,81 @@ def test_phase2_chunks_pick_the_unchunked_argmax(cfg129, small_cb):
     g = np.einsum("tkm,tml->tkl", vectors.conj(), out.f_rf)
     pick = np.argmax(np.abs(np.einsum("cj,tkj->tkc", cb2.codewords, g)), axis=2)
     assert np.array_equal(out.ghat, cb2.codewords[pick].conj())
+
+
+def test_phase2_peak_within_the_step(cfg129):
+    # a step holds _PHASE2_SCORES scores at 24 bytes each; besides them only
+    # the picks (8 bytes per row, twice while they are joined) are allocated
+    k_users, b2, n_trials = 4, 12, 1000
+    cb2 = rvq_generate(k_users, b2, "isotropic", 2)
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((n_trials, k_users, k_users)) \
+        + 1j * rng.standard_normal((n_trials, k_users, k_users))
+    tracemalloc.start()
+    try:
+        pick = feedback._rvq_pick(g, cb2.codewords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * feedback._PHASE2_SCORES + 16 * n_trials * k_users + 2**16
+    unstepped = np.abs(np.einsum("cj,tkj->tkc", cb2.codewords, g)).argmax(axis=2)
+    assert np.array_equal(pick, unstepped)
+
+
+def _scan_peak(cfg, vectors, cb) -> int:
+    "Peak traced bytes of one `best_codeword_scan`."
+    tracemalloc.start()
+    try:
+        best_codeword_scan(cfg, vectors, cb.angle_samples, cb.range_samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_grows_by_a_fixed_allowance_per_row(cfg129, region, monkeypatch):
+    # 8192 codewords in 8 chunks: per row the scan keeps a complex64 copy of
+    # it (8 M bytes), the pass-A bound (4 bytes per chunk), and a few float64
+    # and survivors (512 bytes); its products and builds do not grow with n.
+    # One worker, so that the peak does not depend on how the jobs overlap.
+    monkeypatch.setattr(feedback, "available_cpus", lambda: 1)
+    cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
+    assert feedback._cluster_size(cfg129, cb.angle_samples) > 1
+    rng = np.random.default_rng(4)
+    lo, hi = 256, 2048
+    vecs = sum(w * steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, hi),
+                                         rng.uniform(4.0, 120.0, hi)) for w in (1.0, 0.3))
+    allowance = 8 * 129 + 4 * 8 + 512
+    assert _scan_peak(cfg129, vecs, cb) - _scan_peak(cfg129, vecs[:lo], cb) \
+        < (hi - lo) * allowance
+
+
+@pytest.mark.parametrize("pruned", [True, False])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_scan_matches_per_ring_scan_around_a_row_block(cfg129, region, monkeypatch, pruned,
+                                                      extra):
+    cb = scheme_codebook(cfg129, region, "geometric", 8, 3)
+    if not pruned:
+        _unpruned(monkeypatch)
+    n = feedback._ROW_BLOCK + extra
+    vecs = _scan_vectors(cfg129, region, -(-n // 4))[:n]
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+def test_scan_tie_across_row_blocks_and_chunks(cfg129, region):
+    # one grid point at flat 1023 and 1024, in chunks 0 and 1, and rows
+    # aimed at it in both row blocks: every one resolves to the lower index
+    angles = np.linspace(-0.5, 0.5, 2048)
+    angles[1024] = angles[1023]
+    h = los_channel(cfg129, PolarCoord(angles[1023], 30.0)).vector
+    n = feedback._ROW_BLOCK + 3
+    vecs = _scan_vectors(cfg129, region, -(-n // 4))[:n]
+    tied = [0, feedback._ROW_BLOCK - 1, feedback._ROW_BLOCK, n - 1]
+    vecs[tied] = h * np.array([1.0, 2.5j, -0.7, 1e-3])[:, None]
+    gain, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]))
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))
+    assert list(idx[tied]) == [1023] * 4
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12

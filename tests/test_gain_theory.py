@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from polarcb import PolarRegion, geometric_range_samples, steering_matrix_exact
+from polarcb import PolarRegion, gain_theory, geometric_range_samples, steering_matrix_exact
 from polarcb.gain_theory import (calibrate, cell_range_error,
                                  cell_surrogate_error, exact_angle_gain, expected_angle_error,
                                  expected_gain_approx, expected_range_error, f_gain,
@@ -50,6 +50,24 @@ def test_threshold_values_and_shrinkage(cfg387):
     big_theta, big_r = gain_thresholds(cfg387.with_antennas(775))
     assert big_theta < th_theta
     assert big_r < th_r
+
+
+def test_threshold_grid_in_steps_matches_scalar_calls(cfg387, monkeypatch):
+    # the grid goes through f_gain in steps of points; every value, and so
+    # every threshold, is bit for bit that of one scalar call per point
+    steps = gain_thresholds(cfg387)
+    xs = np.linspace(0.0, 12.0 / 387, 3000)
+    assert f_gain(cfg387, xs, 0.0).tobytes() == np.array([f_gain(cfg387, x, 0.0)
+                                                           for x in xs]).tobytes()
+    scalar = gain_theory.f_gain
+
+    def one_point_at_a_time(cfg, eps_theta, u):
+        if np.ndim(eps_theta) or np.ndim(u):
+            return np.array([scalar(cfg, e, v) for e, v in np.broadcast(eps_theta, u)])
+        return scalar(cfg, eps_theta, u)
+
+    monkeypatch.setattr(gain_theory, "f_gain", one_point_at_a_time)
+    assert gain_thresholds(cfg387) == steps
 
 
 def test_expected_gain_approx_at_zero(cfg387):
