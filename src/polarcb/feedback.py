@@ -3,7 +3,6 @@ quantization, zero-forcing digital beamforming and per-user rates."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +137,7 @@ phase-1 scan (see `_cluster_size`)."""
 
 
 def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int):
-    """Representative angle index and radius of each cluster of `group` adjacent angle samples.
+    """Representative angle index, radius and size of each cluster of `group` adjacent angle samples.
 
     Cluster c holds angle samples c * group ... (c + 1) * group - 1 (the last
     one may hold fewer); its representative is its middle member.  At any one
@@ -165,7 +164,7 @@ def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int):
     slope = cfg.wavenumber * np.sqrt(np.mean((antenna_offsets(cfg) * cfg.spacing) ** 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = slope * spread / np.sqrt(1.0 - peak**2)
-    return rep, np.where(peak < 1.0, radius * (1.0 + 2.0**-20) + 2.0**-24, np.inf)
+    return rep, np.where(peak < 1.0, radius * (1.0 + 2.0**-20) + 2.0**-24, np.inf), sizes
 
 
 def _cluster_size(cfg: ArrayConfig, angle_samples) -> int:
@@ -201,19 +200,19 @@ def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples
 
 
 def _member_chunks(first: np.ndarray, size: np.ndarray, nq: int, chunk: int):
-    """The scan chunks that clusters' members fall in, as layers of (clusters, chunks).
+    """The scan chunks that clusters' members may fall in, as layers of (clusters, chunks).
 
-    Cluster i's members sit at flat indices first[i] + t nq for t < size[i].
-    Layer l pairs each cluster that meets more than l chunks with the
+    Cluster i's members sit at flat indices first[i] + t nq for t < size[i];
+    it is paired with every chunk from its first member's to its last's.
+    With more than `chunk` range samples that run may hold chunks no member
+    falls in, which loosens the pass-A bound there but keeps it a bound.
+    Layer l pairs each cluster whose run holds more than l chunks with the
     (l + 1)-th of them.  `first` increases, so within a layer the chunks do
     not decrease.
     """
-    if nq <= chunk:     # members at most a chunk apart: every chunk from the first's to the last's
-        lead = first // chunk
-        span = (first + (size - 1) * nq) // chunk - lead
-        return [(np.flatnonzero(span >= l), lead[span >= l] + l) for l in range(span.max() + 1)]
-    return [(np.flatnonzero(size > t), (first[size > t] + t * nq) // chunk)    # a chunk per member
-            for t in range(size.max())]
+    lead = first // chunk
+    span = (first + (size - 1) * nq) // chunk - lead
+    return [(np.flatnonzero(span >= l), lead[span >= l] + l) for l in range(span.max() + 1)]
 
 
 def _ceil32(x: np.ndarray) -> np.ndarray:
@@ -242,8 +241,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
 
     Pass A (only when G > 1) scores each representative once.  It keeps each
     row's best bulk score `top` and, per row and chunk, the largest
-    s_rep + ||v|| sqrt(M) rho over the clusters with a member in the chunk,
-    rounded upward to float32.  In pass B a row meets a chunk only if that
+    s_rep + ||v|| sqrt(M) rho over the clusters with a member in the chunk
+    (`_member_chunks`), rounded upward to float32; its jobs return both per
+    row block and the main thread merges them.  In pass B a row meets a chunk only if that
     bound reaches top - 2E; a row that does not cannot reach its float64
     maximum in the chunk.  The chunk builds its codewords only if some row
     meets it, scores them against those rows, and keeps, per row, each
@@ -295,16 +295,15 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     everyone = np.arange(len(live))
 
     group = _cluster_size(cfg, angle_samples)
-    rep, radius = _angle_clusters(cfg, angle_samples, group)
+    rep, radius, sizes = _angle_clusters(cfg, angle_samples, group)
     rep_angles = np.asarray(angle_samples)[rep]
-    sizes = np.minimum(group, len(angle_samples) - np.arange(len(rep)) * group)
     n_reps = len(rep) * nq
     top = np.full(len(live), -np.inf)
     bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
-    lock = threading.Lock()
 
     def pass_a(lo):
-        "Representatives lo..lo+chunk-1 of the (cluster, ring) grid raise `top` and `bound`."
+        """Representatives lo..lo+chunk-1 of the (cluster, ring) grid, per row block:
+        the rows, their best bulk scores, and (chunks, bounds) pairs for `bound`."""
         cluster, ring = np.divmod(np.arange(lo, min(lo + chunk, n_reps)), nq)
         layers = []
         for pos, chunks in _member_chunks(cluster * group * nq + ring, sizes[cluster], nq,
@@ -312,16 +311,15 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             cut = np.flatnonzero(np.diff(chunks, prepend=-1))
             layers.append((pos, cut, chunks[cut]))
         cw = _bulk_conj_codewords(cfg, rep_angles, range_samples, lo, lo + len(ring))
+        found = []
         for rows in blocks:
             s = _bulk_scores(rows32[rows], cw)
             s_top = s.max(axis=1)
             s += reach[rows, None] * radius[cluster]
             raised = [(chunks, _ceil32(np.maximum.reduceat(s[:, pos], cut, axis=1)).T)
                       for pos, cut, chunks in layers]
-            with lock:
-                np.maximum(top[rows], s_top, out=top[rows])
-                for chunks, b in raised:
-                    bound[chunks, rows] = np.maximum(bound[chunks, rows], b)
+            found.append((rows, s_top, raised))
+        return found
 
     def score(k):
         "Chunk k against the rows that meet it: their best bulk scores and survivors."
@@ -343,7 +341,11 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     workers = min(available_cpus(), block // chunk, n_chunks)
     with thread_map(workers) as pmap:
         if group > 1:
-            list(pmap(pass_a, range(0, n_reps, chunk)))
+            for found in pmap(pass_a, range(0, n_reps, chunk)):
+                for rows, s_top, raised in found:
+                    np.maximum(top[rows], s_top, out=top[rows])
+                    for chunks, b in raised:
+                        bound[chunks, rows] = np.maximum(bound[chunks, rows], b)
         floor = top - margin
         final = top.copy()
         parts = [(everyone[:0], everyone[:0], np.empty(0))]

@@ -175,42 +175,6 @@ def test_scan_independent_of_cpu_count(cfg129, region, monkeypatch, recorded_poo
     assert np.abs(runs[0][0] - ref_gain).max() <= 1e-12
 
 
-def test_scan_pass_a_keeps_every_update_under_many_workers(cfg129, region, monkeypatch,
-                                                          recorded_pools):
-    # four workers, more than the cores of a small host, raise `top` and the
-    # pass-A bounds of the same rows at once; a lost update would change
-    # which rows meet which chunk, and so the number of bulk scores
-    cb = scheme_codebook(cfg129, region, "geometric", 12, 4)
-    group = feedback._cluster_size(cfg129, cb.angle_samples)
-    assert len(cb) // group >= 4 * feedback.SCAN_CHUNK      # a pass-A job per worker
-    vecs = _scan_vectors(cfg129, region, 20)
-    scored = []
-    scores = feedback._bulk_scores
-
-    def counted(rows32, cw32):
-        scored.append(len(rows32) * len(cw32))
-        return scores(rows32, cw32)
-
-    monkeypatch.setattr(feedback, "_bulk_scores", counted)
-    runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # one BLAS thread in every run, so that the bulk scores repeat exactly
-        with polarcb.parallel._blas_shared(64):
-            for cpus in (1, 4, 4):
-                monkeypatch.setattr(feedback, "available_cpus", lambda cpus=cpus: cpus)
-                scored.clear()
-                runs.append((*best_codeword_scan(cfg129, vecs, cb.angle_samples,
-                                                 cb.range_samples), sum(scored)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert recorded_pools == [4, 4]
-    for gain, idx, count in runs[1:]:
-        assert count == runs[0][2]
-        assert np.array_equal(idx, runs[0][1]) and gain.tobytes() == runs[0][0].tobytes()
-
-
 @pytest.mark.parametrize("block,workers", [(2048, 2), (2500, 2), (3072, 3)])
 def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded_pools,
                                                   block, workers):
@@ -330,7 +294,7 @@ def test_pruned_scan_matches_per_ring_scan(cfg129, region, monkeypatch, scheme):
 def test_cluster_radius_bounds_member_distance(cfg129, region, scheme):
     cb = scheme_codebook(cfg129, region, scheme, 10, 3)
     group = feedback._cluster_size(cfg129, cb.angle_samples)
-    rep, radius = feedback._angle_clusters(cfg129, cb.angle_samples, group)
+    rep, radius, _ = feedback._angle_clusters(cfg129, cb.angle_samples, group)
     assert radius.max() <= feedback._MAX_RADIUS
     cluster = np.arange(len(cb.angle_samples)) // group
     for r in cb.range_samples:
@@ -358,7 +322,8 @@ def test_scan_gate_catches_halved_radius(cfg129, monkeypatch):
     assert idx[0] == 0
     clusters = feedback._angle_clusters
     monkeypatch.setattr(feedback, "_angle_clusters",
-                        lambda *args: (lambda rep, radius: (rep, radius / 2))(*clusters(*args)))
+                        lambda *args: (lambda rep, radius, sizes: (rep, radius / 2, sizes))(
+                            *clusters(*args)))
     _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=2)
     assert idx[0] == 3
 
