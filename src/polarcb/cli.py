@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration error (bad config file, unknown keys,
-a command's own limits, unwritable output), 3 numerical failure (singular zero
-forcing, quantizer non-convergence).
+a command's own limits, unwritable output, a run too large for memory),
+3 numerical failure (singular zero forcing, quantizer non-convergence).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="flat key=value config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--threads", type=int, default=None, help="trial-level workers")
+        cmd.add_argument("--threads", type=int, default=None, help="deprecated; has no effect")
         cmd.add_argument("--out", default=None, help="override the output path")
     return parser
 
@@ -56,6 +56,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return 0
 

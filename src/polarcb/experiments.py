@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,7 +29,6 @@ from .distributions import (MIN_TRUNCATION_MASS, DistributionSpec, GaussianMixtu
 # bound under this name, which the benchmark traces as the beamforming layer
 from .feedback import run_protocol_batch as _batched_beamformers
 from .feedback import multipath_feedback_batch, quantize_path_gains, rvq_generate, zf_rates
-from .parallel import available_cpus, ordered_map
 from . import gain_theory
 
 EXPERIMENTS = ("rate_vs_snr", "gain_vs_q", "gain_vs_m", "gain_vs_rmax", "multipath_gain_vs_q")
@@ -76,7 +76,7 @@ class ExperimentConfig:
     seed: int = 0
     sweep: tuple = ()
     out: str = ""
-    threads: int = 1
+    threads: int = 1                # deprecated, no effect; validate_config warns unless 1
     n_train: int = 100000
     lloyd_tolerance: float = 1e-6
     b1: int = 16
@@ -164,6 +164,9 @@ def validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("n_trials must be >= 1")
     if c.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if c.threads != 1:
+        warnings.warn("threads is deprecated and has no effect: trials run in one thread, "
+                      "and the phase-1 scan sizes its own pool", FutureWarning)
     if c.seed < 0:
         raise ConfigError("seed must be >= 0")
     if c.k_users < 1 or c.l_paths < 1:
@@ -269,25 +272,6 @@ def trial_rng(seed, stream: str, index: int) -> np.random.Generator:
     return np.random.default_rng(stream_seed(seed, stream, index))
 
 
-def _chunks(n: int, parts: int):
-    size = math.ceil(n / parts)
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _parallel_trials(fn, n_trials: int, threads: int):
-    """Run fn(trial_index) for every trial, preserving trial order in the output.
-
-    Uses at most min(threads, n_trials, available CPUs) threads; every trial
-    draws from its own stream, so the count changes no result.
-    """
-    workers = min(threads, n_trials, available_cpus())
-    if workers <= 1:
-        return [fn(t) for t in range(n_trials)]
-    parts = ordered_map(lambda chunk: [fn(t) for t in chunk], _chunks(n_trials, workers),
-                        workers)
-    return [result for part in parts for result in part]
-
-
 def training_ranges(c: ExperimentConfig) -> np.ndarray:
     "The `extended` scheme's n_train training ranges, drawn from the config's location law."
     return sample_locations(c.distribution_spec(), c.n_train, stream_seed(c.seed, "train"))[:, 1]
@@ -313,10 +297,9 @@ def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
 
     `spec` is `c.distribution_spec()`, built once per run by the caller: an
     empirical law reads its CSV file when built.  Each trial draws from its
-    own streams and writes only its own rows of the preallocated arrays, so
-    `c.threads` changes no value.  Users have one line-of-sight path of gain
-    1 when `c.l_paths` is 1; otherwise L - 1 uniform scatterers and Rician
-    gains (equal-power gains under `equal_gains`).
+    own streams into its own rows of the preallocated arrays.  Users have one
+    line-of-sight path of gain 1 when `c.l_paths` is 1; otherwise L - 1
+    uniform scatterers and Rician gains (equal-power gains under `equal_gains`).
     """
     cfg = c.array_config()
     k_users, paths = c.k_users, c.l_paths
@@ -325,8 +308,7 @@ def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
     gains = np.ones((rows, paths), dtype=np.complex128)
     vectors = np.empty((rows, cfg.num_antennas), dtype=np.complex128)
     scatter = UniformPolar(c.region())
-
-    def draw(trial: int) -> None:
+    for trial in range(c.n_trials):
         users = slice(trial * k_users, (trial + 1) * k_users)
         locs = sample_locations(spec, k_users, trial_rng(c.seed, "loc", trial))
         thetas[users, 0], ranges[users, 0] = locs[:, 0], locs[:, 1]
@@ -340,8 +322,6 @@ def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
                 gains[row] = (equal_path_gains(paths, gain_rng) if equal_gains
                               else rician_path_gains(c.kappa_db, paths - 1, gain_rng))
         vectors[users] = channel_vectors(cfg, thetas[users], ranges[users], gains[users])
-
-    _parallel_trials(draw, c.n_trials, c.threads)
     return ChannelArrays(thetas, ranges, gains, vectors)
 
 
@@ -352,6 +332,12 @@ def _protocol_inputs(c: ExperimentConfig, channels: ChannelArrays):
     return vectors, coords.reshape(c.n_trials, c.k_users, 2)
 
 
+def _rate_inputs(c: ExperimentConfig):
+    "A rate run's (T, K, M) channel vectors, (T, K, 2) user locations and RVQ codebook."
+    vectors, coords = _protocol_inputs(c, draw_channels(c, c.distribution_spec()))
+    return vectors, coords, rvq_generate(c.k_users, c.b2, "isotropic", stream_seed(c.seed, "rvq"))
+
+
 def run_rate_vs_snr(c: ExperimentConfig):
     """Sum-rate vs SNR rows for every configured scheme.
 
@@ -360,8 +346,7 @@ def run_rate_vs_snr(c: ExperimentConfig):
     """
     cfg = c.array_config()
     snrs = c.sweep or (c.snr_db,)
-    vectors, coords = _protocol_inputs(c, draw_channels(c, c.distribution_spec()))
-    cb2 = rvq_generate(c.k_users, c.b2, "isotropic", stream_seed(c.seed, "rvq"))
+    vectors, coords, cb2 = _rate_inputs(c)
     rows = []
     for scheme in sorted(c.schemes):
         full = scheme == "full_csi"
@@ -545,8 +530,7 @@ def theory_report(c: ExperimentConfig) -> str:
     if c.k_users < 2:
         return _theory_csv(rows, c)
     sub = replace(c, n_trials=c.n_mc, schemes=("geometric",))
-    vectors, coords = _protocol_inputs(sub, draw_channels(sub, sub.distribution_spec()))
-    cb2 = rvq_generate(sub.k_users, sub.b2, "isotropic", stream_seed(sub.seed, "rvq"))
+    vectors, coords, cb2 = _rate_inputs(sub)
     geo = _batched_beamformers(cfg, vectors, cb, cb2)
     full = _batched_beamformers(cfg, vectors, None, None, True, coords)
     gamma_hat = float((geo.phase1_gains / np.linalg.norm(vectors, axis=2)).mean())

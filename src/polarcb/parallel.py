@@ -1,12 +1,14 @@
-"""Thread pools shared by the phase-1 scan and the trial loop.
+"""The phase-1 scan's thread pool.
 
 Threads pay off here because the work is numpy ufuncs and BLAS calls, which
-release the GIL.  Callers fix how work is split, so results never depend on
-the number of threads.
+release the GIL.  The scan fixes how work is split, so results never depend
+on the number of threads.
 
 A pool owns the cores while it runs: numpy's OpenBLAS, which would start one
 thread per CPU for every call a worker makes, runs with its thread count
 divided among the workers, and gets its count back when the last pool joins.
+Library callers may run scans on several threads at once, so pools that
+overlap or nest share one count under a lock.
 """
 
 from __future__ import annotations
@@ -113,9 +115,3 @@ def thread_map(workers: int):
         return
     with _blas_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool.map
-
-
-def ordered_map(fn, items, workers: int):
-    "Yield fn(item) for every item, in item order, computed on `workers` threads."
-    with thread_map(workers) as pmap:
-        yield from pmap(fn, items)

@@ -1,29 +1,33 @@
 """The package bindings the benchmark's tracer wraps (`perfbench/spans.py`) must keep resolving.
 
 The tracer looks each one up by name on every traced run, so a renamed or
-removed binding fails every benchmark invocation.
+removed binding fails every benchmark invocation.  So would a config key that
+a workload writes (`perfbench/workloads.py`) and the package no longer accepts.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    "perfbench/<name>.py, loaded from its file without importing the perfbench directory."
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up while it runs
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_layer_resolves():
-    missing = [(name, attr) for name, attr, _ in _spans().LAYERS
+    missing = [(name, attr) for name, attr, _ in _load("spans").LAYERS
                if not callable(getattr(importlib.import_module(name), attr, None))]
     assert missing == []
 
@@ -56,3 +60,13 @@ def test_multipath_feedback_keeps_its_signature():
 
     params = list(inspect.signature(feedback.multipath_feedback).parameters)
     assert params == ["cfg", "h", "cb1", "gain_cb"]
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_every_workload_config_loads(tmp_path, size):
+    from polarcb.experiments import load_config
+
+    for name, workload in _load("workloads").WORKLOADS.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(workload.config_text(0, size))
+        load_config(path)

@@ -269,20 +269,6 @@ def test_truncation_mass_floor():
                                          gauss_std=2.0, sweep=(30.0, 120.0)))
 
 
-def test_trial_pool_capped(monkeypatch, recorded_pools):
-    import polarcb.experiments as experiments
-
-    expected = [t * t for t in range(3)]
-    for cpus, pools in ((8, [3]), (2, [2]), (1, [])):
-        recorded_pools.clear()
-        monkeypatch.setattr(experiments, "available_cpus", lambda cpus=cpus: cpus)
-        assert experiments._parallel_trials(lambda t: t * t, 3, 64) == expected
-        assert recorded_pools == pools
-    recorded_pools.clear()
-    assert experiments._parallel_trials(lambda t: t * t, 3, 1) == expected
-    assert recorded_pools == []
-
-
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     from polarcb import cli
     from polarcb.feedback import ZFSingularError
@@ -293,6 +279,19 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", boom)
     cfg = _write(tmp_path, SMALL)
     assert cli.main(["simulate", "--config", cfg]) == 3
+
+
+def test_cli_memory_error_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # n_trials = 1e9 at M = 65 asks numpy for 89.4 GiB of channel vectors
+    from polarcb import cli
+
+    def boom(config):
+        raise MemoryError("Unable to allocate 89.4 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    assert cli.main(["simulate", "--config", _write(tmp_path, SMALL)]) == 2
+    assert capsys.readouterr().err == ("config error: the run does not fit in memory: "
+                                       "Unable to allocate 89.4 GiB for an array\n")
 
 
 def test_empirical_distribution_config(tmp_path):
@@ -323,7 +322,7 @@ def _cli_process(args, tmp_path, blas_threads=None, timeout=300):
     done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done
 
 
 @pytest.mark.parametrize("command,text", [
@@ -348,7 +347,7 @@ def test_csv_bytes_independent_of_blas_threads(tmp_path, command, text):
 
 def test_cli_import_skips_slow_scipy_modules(tmp_path):
     loaded = _cli_process(["-c", "import sys, polarcb.cli; print(sorted(sys.modules))"],
-                          tmp_path, timeout=60)
+                          tmp_path, timeout=60).stdout
     assert "polarcb.cli" in loaded
     assert "'scipy.stats'" not in loaded and "'scipy.optimize'" not in loaded
 
@@ -360,9 +359,26 @@ def test_gmm_config_loads_without_scipy_special(tmp_path):
                    "gmm_components = 0.5:15:5;0.5:60:20\nk_users = 1\nschemes = geometric\n")
     loaded = _cli_process(["-c", "import sys; from polarcb.experiments import load_config; "
                            f"load_config({str(cfg)!r}); print(sorted(sys.modules))"],
-                          tmp_path, timeout=60)
+                          tmp_path, timeout=60).stdout
     assert "'polarcb.experiments'" in loaded
     assert "'scipy.special'" not in loaded
+
+
+def test_threads_is_a_deprecated_no_op(tmp_path, capsys):
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(SMALL + "threads = 2\n")
+    cfg = _write(tmp_path, SMALL)
+    outputs, warned = [], []
+    for args in ([cfg], [cfg, "--threads", "2"], [str(keyed)]):
+        out = tmp_path / f"run{len(outputs)}.csv"
+        done = _cli_process(["-m", "polarcb.cli", "simulate", "--out", str(out), "--config",
+                             *args], tmp_path)
+        outputs.append(out.read_bytes())
+        warned.append(done.stderr.count("FutureWarning: threads is deprecated"))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert warned == [0, 1, 1]
+    assert main(["simulate", "--config", cfg, "--threads", "0"]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["rate_vs_snr", "multipath_gain_vs_q"])

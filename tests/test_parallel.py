@@ -38,15 +38,17 @@ def test_blas_count_restored_when_a_job_raises(blas_count):
             list(pmap(lambda x: 1 / x, [1, 0, 2]))
     assert blas_count() == 4
     with pytest.raises(ZeroDivisionError):
-        list(parallel.ordered_map(lambda x: 1 / x, [1, 0, 2], 2))
+        with parallel.thread_map(2) as pmap:     # the block raises with a map under way
+            next(pmap(lambda _: blas_count(), range(4)))
+            1 / 0
     assert blas_count() == 4
 
 
 @needs_openblas
 def test_one_worker_leaves_blas_count_alone(blas_count):
-    with parallel.thread_map(1) as pmap:
-        assert list(pmap(lambda _: blas_count(), range(3))) == [4, 4, 4]
-    assert list(parallel.ordered_map(lambda _: blas_count(), range(3), 1)) == [4, 4, 4]
+    for workers in (1, 0):
+        with parallel.thread_map(workers) as pmap:
+            assert list(pmap(lambda _: blas_count(), range(3))) == [4, 4, 4]
     assert blas_count() == 4
 
 
@@ -69,7 +71,8 @@ def test_overlapping_pools_restore_the_first_count(blas_count):
             b_open.set()
             a_closed.wait(10)
             seen["b"] = set(pmap(lambda _: blas_count(), range(4)))
-            seen["b nested"] = set(parallel.ordered_map(lambda _: blas_count(), range(4), 2))
+            with parallel.thread_map(2) as nested:
+                seen["b nested"] = set(nested(lambda _: blas_count(), range(4)))
 
     threads = [threading.Thread(target=pool_a), threading.Thread(target=pool_b)]
     for thread in threads:
