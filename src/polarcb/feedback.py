@@ -21,8 +21,9 @@ MAX_ZF_CONDITION = 1e8
 
 
 SCAN_CHUNK = 1024
-"""Codewords per phase-1 scan job.  Fixed, so chunk boundaries, and with them
-the selected indices and gains, do not depend on the number of CPUs."""
+"""Grid codewords per phase-1 scan job of mirror-paired angles: the job builds
+half of them and scores the other half as their mirrors.  Fixed, so chunk
+boundaries do not depend on the number of CPUs."""
 
 _ROW_BLOCK = 128
 """Rows per complex64 product of the phase-1 scan.  The product and its float64
@@ -30,7 +31,7 @@ modulus take 16 bytes per score, 2 MiB at a full chunk, whatever the number of
 rows."""
 
 _BUILD_STEP = 128
-"Codewords per step of `_bulk_conj_codewords`: its float64 temporaries stay near 0.4 MB at M = 387."
+"Codewords per step of `_bulk_fold_codewords`: its float64 temporaries stay near 0.4 MB at M = 387."
 
 _RESCORE_PAIRS = 256
 "(row, codeword) pairs per rescoring step of the phase-1 scan (see `_rescore`)."
@@ -56,31 +57,80 @@ def _bulk_conj_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: 
     The phase k (r^(m) - r) is formed in float64 exactly as the float64 build
     forms it, reduced to [-pi, pi] in float64, and only then cast to float32,
     so the float32 cos and sin see a phase whose cast costs at most pi * u.
-    Every step is elementwise, so the result is built `_BUILD_STEP` codewords
-    at a time, straight into the complex64 output.
+    `_bulk_fold_codewords` calls it `_BUILD_STEP` codewords at a time.
+    """
+    cw = np.empty((stop - start, cfg.num_antennas), np.complex64)
+    phase = grid_phase_diff(cfg, angle_samples, range_samples, start, stop)
+    phase *= cfg.wavenumber
+    turns = np.multiply(phase, 1.0 / _TWO_PI)
+    np.rint(turns, out=turns)
+    turns *= _TWO_PI
+    phase -= turns
+    phase32 = phase.astype(np.float32)
+    np.cos(phase32, out=cw.real)
+    np.sin(phase32, out=cw.imag)
+    return cw
+
+
+def _fold(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The folded layout of rows `x` (n, M), written to `out`.
+
+    With h = M // 2 and m' = M - 1 - m, the mirror entry of m: the sums
+    x_m + x_m' for m < h, the centre entry x_h when M is odd, then the
+    differences x_m - x_m' for m < h.  Sums and centre fill the first
+    ceil(M / 2) columns, differences the last h.
+    """
+    h = x.shape[1] // 2
+    rev = x[:, ::-1][:, :h]
+    np.add(x[:, :h], rev, out=out[:, :h])
+    out[:, h:x.shape[1] - h] = x[:, h:x.shape[1] - h]
+    np.subtract(x[:, :h], rev, out=out[:, x.shape[1] - h:])
+    return out
+
+
+def _fold_rows(rows: np.ndarray) -> np.ndarray:
+    "Rows in the layout of `_fold` with halved sums and differences (the centre entry as it is)."
+    out = _fold(0.5 * rows, np.empty_like(rows))
+    h = rows.shape[1] // 2
+    out[:, h:rows.shape[1] - h] = rows[:, h:rows.shape[1] - h]
+    return out
+
+
+def _bulk_fold_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
+                         stop: int) -> np.ndarray:
+    """`_bulk_conj_codewords` in the layout of `_fold`, built `_BUILD_STEP` codewords at a time.
+
+    With `_fold_rows` rows, the sum half and the difference half of a
+    product give S and A: S + A is the product with codeword c and S - A
+    the product with its antenna reversal J c (see `_bulk_scores`).
     """
     cw = np.empty((stop - start, cfg.num_antennas), np.complex64)
     for lo in range(start, stop, _BUILD_STEP):
         out = slice(lo - start, min(lo + _BUILD_STEP, stop) - start)
-        phase = grid_phase_diff(cfg, angle_samples, range_samples, lo, start + out.stop)
-        phase *= cfg.wavenumber
-        turns = np.multiply(phase, 1.0 / _TWO_PI)
-        np.rint(turns, out=turns)
-        turns *= _TWO_PI
-        phase -= turns
-        phase32 = phase.astype(np.float32)
-        np.cos(phase32, out=cw.real[out])
-        np.sin(phase32, out=cw.imag[out])
+        _fold(_bulk_conj_codewords(cfg, angle_samples, range_samples, lo, start + out.stop),
+              cw[out])
     return cw
 
 
-def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray) -> np.ndarray:
-    """Bulk scores |v^H b| * sqrt(M) of complex64 rows against `_bulk_conj_codewords`, in float64.
+def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int) -> np.ndarray:
+    """Bulk scores of folded complex64 rows against `_bulk_fold_codewords`, in float64.
 
-    The modulus is the complex128 one of the exactly widened product; numpy
-    widens it in small buffers, so no complex128 copy of the product exists.
+    Returns (rows, len(cw32) + mirrored) scores: |S + A| * sqrt(M)-scaled
+    against every codeword, then |S - A|, against the antenna reversals of
+    the first `mirrored` codewords.  S and A are the complex64 products of
+    the sum and the difference halves, each about M / 2 long; S + A and
+    S - A are rounded to complex64, and the modulus is the complex128 one
+    of that exactly widened result (numpy widens it in small buffers).
     """
-    return np.abs(rows32 @ cw32.T, dtype=np.float64)
+    n = len(cw32)
+    half = (rows32.shape[1] + 1) // 2
+    s = rows32[:, :half] @ cw32[:, :half].T
+    a = rows32[:, half:] @ cw32[:, half:].T
+    out = np.empty((len(s), n + mirrored))
+    np.abs(s[:, :mirrored] - a[:, :mirrored], out=out[:, n:], dtype=np.float64)
+    s += a
+    np.abs(s, out=out[:, :n], dtype=np.float64)
+    return out
 
 
 def _pow2_scaled(vectors: np.ndarray) -> np.ndarray:
@@ -89,46 +139,111 @@ def _pow2_scaled(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.ldexp(1.0, -np.frexp(peak)[1])[:, None]
 
 
-def _bulk_error_bound(cfg: ArrayConfig, rows: np.ndarray) -> np.ndarray:
+def _bulk_error_bound(cfg: ArrayConfig, rows: np.ndarray, mismatch: float = 0.0) -> np.ndarray:
     """Per-row bound E on |bulk score - sqrt(M) * float64 gain|, for any codeword.
 
     `rows` come from `_pow2_scaled`, so their largest entry modulus lies in
-    [1/2, 1).  The bulk pass scores their complex64 casts v' against the
-    codewords c' of `_bulk_conj_codewords`; the float64 gain is |v^H b| with
-    b = c / sqrt(M) from `steering_matrix_exact`.  With u = 2^-24 and
-    gamma_n = n u / (1 - n u), for M below 10^6:
+    [1/2, 1).  The bulk pass scores their folded complex64 casts
+    (`_fold_rows`) against the folded codewords of `_bulk_fold_codewords`;
+    the float64 gain is |v^H b| with b = c / sqrt(M) from
+    `steering_matrix_exact`.  Write c' for the float32 codeword entries
+    before the fold, s_m, a_m for the folded row's sums and differences
+    and sigma_m, alpha_m for the codeword's.  Since
+    |s_m|^2 + |a_m|^2 = (|v_m|^2 + |v_m'|^2) / 2 and
+    |sigma_m|^2 + |alpha_m|^2 = 2 (|c'_m|^2 + |c'_m'|^2), Cauchy-Schwarz
+    gives sum_m (|s_m| |sigma_m| + |a_m| |alpha_m|) <= ||v|| ||c'||, the
+    norm product of the unfolded pair.  With u = 2^-24,
+    gamma_n = n u / (1 - n u) and n_s = ceil(M / 2), for M below 10^6:
 
-    - Product (sqrt(2) gamma_{2M+2}).  The real and the imaginary part of
-      v'^T c' are each a sum of 2M real products; in any summation order,
-      with or without fused multiply-adds, each part is off by at most
-      gamma_{2M} sum_i |v'_i| |c'_i| (Higham, Accuracy and Stability of
-      Numerical Algorithms, section 3.1; Cauchy-Schwarz bounds the two real
-      products in a part by |v'_i| |c'_i|), so the complex result by
-      sqrt(2) gamma_{2M} sum_i |v'_i| |c'_i| <= sqrt(2) gamma_{2M} (1 + u)
-      (1 + eps_trig) ||v|| sqrt(M).  Two extra roundings in the index absorb
-      the factors (1 + u)(1 + eps_trig).  The form gamma_{M+2} would assume
-      each complex product is rounded as one complex operation, which a
-      BLAS kernel need not do.
-    - Cast of v (eps_cast = 2u).  Each entry of v' is v_i (1 + d), |d| <= u,
-      so |(v' - v)^T c'| <= u ||v|| ||c'||.  The second u covers every float64
-      rounding: the modulus of the complex64 result, the rescoring sum,
-      the subtraction that forms the survivor threshold, and gradual
-      underflow in float32 (at most 4M 2^-150 per part, below 2^-100 ||v||
-      after the scaling).
-    - Codewords (eps_trig = (pi + 2 sqrt(2) + 1) u).  The reduced phase has
+    - Products (sqrt(2) gamma_{2 n_s + 4}).  The real and the imaginary
+      part of S (A) are each a sum of 2 n_s (at most 2 n_s) real products;
+      in any summation order, with or without fused multiply-adds, each
+      part is off by at most gamma_{2 n_s} times the sum of |row entry|
+      |codeword entry| (Higham, Accuracy and Stability of Numerical
+      Algorithms, section 3.1), so S and A together by sqrt(2) gamma_{2 n_s}
+      ||v|| ||c'||, with ||c'|| <= (1 + eps_trig) sqrt(M).  Four extra
+      roundings in the index absorb that factor and those of the cast and
+      the fold below.
+    - Cast of the folded rows (u).  Each folded entry, formed in float64,
+      is cast with a relative error of at most u: u ||v|| ||c'|| in all.
+    - Fold of the codewords (u).  sigma_m and alpha_m are rounded to
+      float32 once each: at most u ||v|| ||c'|| in all.
+    - Combination (u).  S + A and S - A are rounded to complex64 once:
+      at most u |S +- A|, about u ||v|| sqrt(M).
+    - Float64 (u).  The modulus of the widened complex64 result, the
+      float64 fold of the rows, the rescoring sum, the subtraction that
+      forms the survivor threshold, and gradual underflow in float32 (at
+      most 4M 2^-150 per part, below 2^-100 ||v|| after the scaling).
+    - Codewords (eps_trig = (pi + 2 sqrt(2) + 1) u).  The fold is linear,
+      so this is the unfolded codewords' error.  The reduced phase has
       |psi| <= pi (up to float64 rounding), so casting it to float32 moves it by at most pi u, which
       moves e^{i psi} by as much; cos and sin add at most _TRIG_ERR u each,
       so sqrt(2) _TRIG_ERR u to the entry; the last u covers the float64
       reduction (about 2^-50 |phase|, phases below 2^20 rad) and the float64
       cos, sin and 1 / sqrt(M) of `steering_matrix_exact`.  Summed over the
       entries, |v^T (c' - c)| <= eps_trig ||v|| sqrt(M).
+    - Mirror pairs (`mismatch`, see `_mirror_mismatch`).  S - A scores
+      J c, the codeword at -theta_i, in place of the grid's codeword at
+      theta_j, at most ||v|| sqrt(M) times `mismatch` away.
 
-    E = ||v|| sqrt(M) (sqrt(2) gamma_{2M+2} + eps_cast + eps_trig).
+    E = ||v|| sqrt(M) (sqrt(2) gamma_{2 n_s + 4} + 4u + eps_trig + mismatch),
+    about half of the unfolded product's sqrt(2) gamma_{2M + 2}.
     """
-    n = 2 * cfg.num_antennas + 2
+    n = 2 * ((cfg.num_antennas + 1) // 2) + 4
     gamma = n * _U32 / (1.0 - n * _U32)
-    rel = np.sqrt(2.0) * gamma + 2.0 * _U32 + _EPS_TRIG
+    rel = np.sqrt(2.0) * gamma + 4.0 * _U32 + _EPS_TRIG + mismatch
     return np.linalg.norm(rows, axis=1) * np.sqrt(cfg.num_antennas) * rel
+
+
+_PAIR_TOL = 8 * 2.0**-52
+"""Largest |theta_i + theta_j| of a mirror pair of angle samples, a few ulps of 1:
+uniform samples of a symmetric region meet their mirrors this closely."""
+
+
+def _mirror_pairs(angle_samples) -> tuple[np.ndarray, np.ndarray]:
+    """The folded scan's angle order: (lead, mirror) index arrays.
+
+    A mirror pair is a positive and a negative sample, both below 1 in
+    modulus, with |theta_i + theta_j| <= _PAIR_TOL; each sample is in at
+    most one pair.  `lead` lists every sample once: first the positive
+    member of each pair, then the unpaired samples (theta = 0, and samples
+    without a mirror), each part in index order.  mirror[i] is the negative
+    member of the pair that lead[i] leads, for i < len(mirror).
+    """
+    theta = np.asarray(angle_samples, dtype=np.float64)
+    pos = np.flatnonzero((theta > 0) & (theta < 1))
+    pos = pos[np.argsort(theta[pos], kind="stable")]
+    neg = np.flatnonzero((theta < 0) & (theta > -1))
+    neg = neg[np.argsort(-theta[neg], kind="stable")]
+    # each positive takes the first negative within reach; equal starts take successive ones
+    start = np.searchsorted(-theta[neg], theta[pos] - _PAIR_TOL)
+    cand = start + np.arange(len(pos)) - np.searchsorted(start, start)
+    ok = np.flatnonzero(cand < len(neg))
+    ok = ok[np.abs(theta[pos[ok]] + theta[neg[cand[ok]]]) <= _PAIR_TOL]
+    ok = ok[np.unique(cand[ok], return_index=True)[1]]
+    order = np.argsort(pos[ok])
+    lead, mirror = pos[ok][order], neg[cand[ok]][order]
+    alone = np.ones(len(theta), dtype=bool)
+    alone[lead] = alone[mirror] = False
+    return np.concatenate([lead, np.flatnonzero(alone)]), mirror
+
+
+def _mirror_mismatch(cfg: ArrayConfig, angle_samples, lead: np.ndarray,
+                     mirror: np.ndarray) -> float:
+    """Largest ||b(theta_j, r) - J b(theta_i, r)|| over the mirror pairs (i, j) and all ranges.
+
+    J b(theta_i, r) = b(-theta_i, r) for the array's symmetric offsets, and
+    as for the clusters' radius (`_angle_clusters`) moving theta by t moves
+    b by at most k |t| rms_m(|d_m|) / sqrt(1 - theta*^2), with theta* the
+    larger |theta| of the pair; raised by a relative 2^-20 for its rounding.
+    """
+    theta = np.asarray(angle_samples, dtype=np.float64)
+    if not len(mirror):
+        return 0.0
+    i, j = theta[lead[:len(mirror)]], theta[mirror]
+    slope = cfg.wavenumber * np.sqrt(np.mean((antenna_offsets(cfg) * cfg.spacing) ** 2))
+    peak = np.maximum(np.abs(i), np.abs(j))
+    return float((slope * np.abs(i + j) / np.sqrt(1.0 - peak**2)).max() * (1.0 + 2.0**-20))
 
 
 _MAX_RADIUS = 0.5
@@ -136,11 +251,12 @@ _MAX_RADIUS = 0.5
 phase-1 scan (see `_cluster_size`)."""
 
 
-def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int):
+def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int, split: int = 0):
     """Representative angle index, radius and size of each cluster of `group` adjacent angle samples.
 
-    Cluster c holds angle samples c * group ... (c + 1) * group - 1 (the last
-    one may hold fewer); its representative is its middle member.  At any one
+    Clusters cut the samples before and from index `split` separately:
+    each part into runs of `group` samples, the last of a part may hold
+    fewer.  A cluster's representative is its middle member.  At any one
     range sample every member codeword b_i lies within the radius of the
     representative's b_rep.  With (r^(m))^2 = (d_m - r theta)^2 + r^2 (1 - theta^2),
     |d r^(m) / d theta| = r |d_m| / r^(m) <= |d_m| / sqrt(1 - theta^2) (the
@@ -156,8 +272,8 @@ def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int):
     |theta*| >= 1 has an infinite radius.
     """
     theta = np.asarray(angle_samples, dtype=np.float64)
-    starts = np.arange(0, len(theta), group)
-    sizes = np.minimum(group, len(theta) - starts)
+    starts = np.concatenate([np.arange(0, split, group), np.arange(split, len(theta), group)])
+    sizes = np.diff(starts, append=len(theta))
     rep = starts + sizes // 2
     spread = np.maximum.reduceat(np.abs(theta - np.repeat(theta[rep], sizes)), starts)
     peak = np.maximum.reduceat(np.abs(theta), starts)
@@ -167,15 +283,16 @@ def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int):
     return rep, np.where(peak < 1.0, radius * (1.0 + 2.0**-20) + 2.0**-24, np.inf), sizes
 
 
-def _cluster_size(cfg: ArrayConfig, angle_samples) -> int:
+def _cluster_size(cfg: ArrayConfig, angle_samples, split: int = 0) -> int:
     """Angle samples per cluster of the phase-1 scan.
 
-    The largest power of two whose clusters (`_angle_clusters`) all have a
-    radius of at most `_MAX_RADIUS`, or 1 (every codeword its own cluster).
+    The largest power of two whose clusters (`_angle_clusters`, cut at
+    `split`) all have a radius of at most `_MAX_RADIUS`, or 1 (every
+    codeword its own cluster).
     """
     group = 1
     while (2 * group <= len(angle_samples)
-           and _angle_clusters(cfg, angle_samples, 2 * group)[1].max() <= _MAX_RADIUS):
+           and _angle_clusters(cfg, angle_samples, 2 * group, split)[1].max() <= _MAX_RADIUS):
         group *= 2
     return group
 
@@ -230,53 +347,74 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     index.  The result is that of scoring every codeword in float64 with
     `_rescore`; an all-zero row gets gain 0 at index 0.
 
-    The bulk passes score in complex64.  Each row is scaled by a power of two
-    and cast; every bulk score is within E (`_bulk_error_bound`) of sqrt(M)
-    times the codeword's float64 gain.  Codewords are grouped into clusters
-    of G adjacent angle samples at one range sample (`_cluster_size`), each
-    with a representative and a radius rho (`_angle_clusters`), so no member
-    scores above its representative's exact score plus ||v|| sqrt(M) rho.
-    The flat index range is cut into chunks of min(block, SCAN_CHUNK)
-    codewords, whatever the ring structure.
+    The bulk passes score in complex64, folded.  The array is symmetric
+    about its centre, so the codeword at -theta is the antenna reversal
+    J b(theta, r).  Angle samples are paired with their mirrors
+    (`_mirror_pairs`); the scan builds codewords only for the `lead` order
+    of angles, the positive member of each pair first, and one product of
+    a folded chunk scores each built codeword and, for paired angles, its
+    mirror (`_bulk_scores`).  Unpaired angles (theta = 0, asymmetric grids)
+    are scored the same way, without the mirror.  Each row is scaled by a
+    power of two and cast; every bulk score is within E
+    (`_bulk_error_bound`, with the pairs' `_mirror_mismatch`) of sqrt(M)
+    times the float64 gain of the grid codeword it stands for.  The
+    folded grid (lead angles x range samples) is cut into chunks of
+    max(1, min(block, SCAN_CHUNK) // 2) codewords, whatever the ring
+    structure, so a chunk of paired angles covers min(block, SCAN_CHUNK)
+    grid codewords.  Codewords are grouped into clusters of G adjacent
+    lead angles at one range sample (`_cluster_size`), paired and unpaired
+    angles in separate clusters, each with a representative and a radius
+    rho (`_angle_clusters`): no member scores above its representative's
+    exact score plus ||v|| sqrt(M) rho, and, J being an isometry, no
+    mirror of a member above the representative's mirror's.
 
-    Pass A (only when G > 1) scores each representative once.  It keeps each
-    row's best bulk score `top` and, per row and chunk, the largest
-    s_rep + ||v|| sqrt(M) rho over the clusters with a member in the chunk
-    (`_member_chunks`), rounded upward to float32; its jobs return both per
-    row block and the main thread merges them.  In pass B a row meets a chunk only if that
-    bound reaches top - 2E; a row that does not cannot reach its float64
-    maximum in the chunk.  The chunk builds its codewords only if some row
-    meets it, scores them against those rows, and keeps, per row, each
-    codeword within 2E of the best of `top` and the chunk's best.  The main
-    thread takes the chunks in flat order and drops, as each arrives, its
-    codewords more than 2E below the row's best bulk score so far, and once
-    every chunk is in, those more than 2E below the final best.  A codeword
-    whose float64 gain equals the row's maximum scores within E of it, and
-    no bulk score exceeds it by more than E, so all of them survive.  With
-    G = 1 there is no pass A and every row meets every chunk.
+    Pass A (only when G > 1) scores each representative, and its mirror if
+    it has one, once.  It keeps each row's best bulk score `top` and, per
+    row and chunk, the largest score + ||v|| sqrt(M) rho over the clusters
+    with a member in the chunk (`_member_chunks`) and over both signs,
+    rounded upward to float32; its jobs return both per row block and the
+    main thread merges them.  In
+    pass B a row meets a chunk only if that bound reaches top - 2E; a row
+    that does not cannot reach its float64 maximum in the chunk.  The chunk
+    builds its codewords only if some row meets it, scores them and their
+    mirrors against those rows, and keeps, per row, each score within 2E of
+    the best of the chunk's and the row's best bulk score merged so far
+    (`top` and the chunks already in).  The main thread takes the chunks in
+    order and drops, as each arrives, its codewords more than 2E below the
+    row's best bulk score so far, and once every chunk is in, those more
+    than 2E below the final best.  A codeword whose float64 gain equals
+    the row's maximum scores within E of it, and no bulk score exceeds it
+    by more than E, so all of them survive.  With G = 1 there is no pass A
+    and every row meets every chunk.
 
     Pass C rescores the surviving (row, codeword) pairs in float64, in flat
     order, in steps of at most min(block, _RESCORE_PAIRS) pairs, and keeps
     per row the largest gain, the lowest flat index among equal gains.
-    Which pairs survive may vary with BLAS's summation order, but neither
-    the gain of a pair nor the set of pairs reaching the maximum, so results
-    depend neither on the number of CPUs nor on BLAS's thread count.
+    Which pairs survive may vary with BLAS's summation order and with the
+    order the chunks finish in, but neither the gain of a pair nor the set
+    of pairs reaching the maximum, so results depend neither on the number
+    of CPUs nor on BLAS's thread count.
 
-    Every pass runs on up to block // chunk threads, one per available CPU
-    (numpy's ufuncs and BLAS release the GIL).  A job builds at most `chunk`
-    codewords at a time, so at most `block` are in flight, and scores them
-    `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
-    (8 M bytes per codeword) and 16 bytes per score of one row block.
-    Growing with n are a complex64 copy of the rows (8 M bytes per row), a
-    few float64 per row, the pass-A bound (4 bytes per row and chunk) and
-    the survivors (24 bytes each).
+    Every pass runs on up to block // min(block, SCAN_CHUNK) threads, one
+    per available CPU (numpy's ufuncs and BLAS release the GIL).  A job
+    builds at most one chunk of codewords, so at most block / 2 are in
+    flight, and scores them `_ROW_BLOCK` rows at a time, so its working
+    memory is fixed: the chunk (8 M bytes per codeword) and 40 bytes per
+    codeword and row of one row block (S, A, S - A and both moduli).
+    Growing with n are a folded complex64 copy of the rows (8 M bytes per
+    row), a few float64 per row, the pass-A bound (4 bytes per row and
+    chunk) and the survivors (24 bytes each).
     """
     vectors = np.atleast_2d(vectors)
     n, m = vectors.shape
     nq = len(range_samples)
-    total = len(angle_samples) * nq
+    angle_samples = np.asarray(angle_samples, dtype=np.float64)
+    lead, mirror = _mirror_pairs(angle_samples)
+    lead_angles = angle_samples[lead]
+    n_fold, paired = len(lead) * nq, len(mirror) * nq
     chunk = min(block, SCAN_CHUNK)
-    n_chunks = -(-total // chunk)
+    step = max(1, chunk // 2)
+    n_chunks = -(-n_fold // step)
     best = np.zeros(n)
     best_idx = np.zeros(n, dtype=np.int64)
 
@@ -287,34 +425,39 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(live), _ROW_BLOCK)]
     rows32 = np.empty((len(live), m), np.complex64)
     margin, reach = np.empty(len(live)), np.empty(len(live))
+    mismatch = _mirror_mismatch(cfg, angle_samples, lead, mirror)
     for rows in blocks:
         scaled = _pow2_scaled(vectors[live[rows]])
-        rows32[rows] = scaled
-        margin[rows] = 2.0 * _bulk_error_bound(cfg, scaled)
+        rows32[rows] = _fold_rows(scaled)
+        margin[rows] = 2.0 * _bulk_error_bound(cfg, scaled, mismatch)
         reach[rows] = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
     everyone = np.arange(len(live))
 
-    group = _cluster_size(cfg, angle_samples)
-    rep, radius, sizes = _angle_clusters(cfg, angle_samples, group)
-    rep_angles = np.asarray(angle_samples)[rep]
+    group = _cluster_size(cfg, lead_angles, len(mirror))
+    rep, radius, sizes = _angle_clusters(cfg, lead_angles, group, len(mirror))
+    rep_angles = lead_angles[rep]
     n_reps = len(rep) * nq
+    rep_mirrored = -(-len(mirror) // group) * nq     # the reps of paired clusters
     top = np.full(len(live), -np.inf)
     bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
 
     def pass_a(lo):
-        """Representatives lo..lo+chunk-1 of the (cluster, ring) grid, per row block:
+        """Representatives lo..lo+step-1 of the (cluster, ring) grid, per row block:
         the rows, their best bulk scores, and (chunks, bounds) pairs for `bound`."""
-        cluster, ring = np.divmod(np.arange(lo, min(lo + chunk, n_reps)), nq)
+        cluster, ring = np.divmod(np.arange(lo, min(lo + step, n_reps)), nq)
+        mirrored = min(max(rep_mirrored - lo, 0), len(ring))
+        first = (rep[cluster] - sizes[cluster] // 2) * nq + ring
         layers = []
-        for pos, chunks in _member_chunks(cluster * group * nq + ring, sizes[cluster], nq,
-                                          chunk):
+        for pos, chunks in _member_chunks(first, sizes[cluster], nq, step):
             cut = np.flatnonzero(np.diff(chunks, prepend=-1))
             layers.append((pos, cut, chunks[cut]))
-        cw = _bulk_conj_codewords(cfg, rep_angles, range_samples, lo, lo + len(ring))
+        cw = _bulk_fold_codewords(cfg, rep_angles, range_samples, lo, lo + len(ring))
         found = []
         for rows in blocks:
-            s = _bulk_scores(rows32[rows], cw)
-            s_top = s.max(axis=1)
+            s = _bulk_scores(rows32[rows], cw, mirrored)
+            s, s_mirror = s[:, :len(ring)], s[:, len(ring):]
+            s_top = np.maximum(s.max(axis=1), s_mirror.max(axis=1, initial=-np.inf))
+            np.maximum(s[:, :mirrored], s_mirror, out=s[:, :mirrored])
             s += reach[rows, None] * radius[cluster]
             raised = [(chunks, _ceil32(np.maximum.reduceat(s[:, pos], cut, axis=1)).T)
                       for pos, cut, chunks in layers]
@@ -323,25 +466,31 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
 
     def score(k):
         "Chunk k against the rows that meet it: their best bulk scores and survivors."
-        start, stop = k * chunk, min((k + 1) * chunk, total)
+        start, stop = k * step, min((k + 1) * step, n_fold)
         rows = np.flatnonzero(bound[k] >= floor) if group > 1 else everyone
         if not len(rows):
             return rows, np.empty(0), rows, rows, np.empty(0)
-        cw = _bulk_conj_codewords(cfg, angle_samples, range_samples, start, stop)
+        mirrored = min(max(paired - start, 0), stop - start)
+        angle, ring = np.divmod(np.arange(start, stop), nq)
+        flat = np.concatenate([lead[angle] * nq + ring,
+                               mirror[angle[:mirrored]] * nq + ring[:mirrored]])
+        cw = _bulk_fold_codewords(cfg, lead_angles, range_samples, start, stop)
         tops, found = [], []
         for lo in range(0, len(rows), _ROW_BLOCK):
             part = rows[lo:lo + _ROW_BLOCK]
-            g = _bulk_scores(rows32[part], cw)
+            g = _bulk_scores(rows32[part], cw, mirrored)
             part_top = g.max(axis=1)
-            row, col = np.nonzero(g >= (np.maximum(part_top, top[part]) - margin[part])[:, None])
+            # `final` is read while the main thread raises it: any value it
+            # held is some bulk score of the row, so a valid floor
+            row, col = np.nonzero(g >= (np.maximum(part_top, final[part]) - margin[part])[:, None])
             tops.append(part_top)
-            found.append((part[row], start + col, g[row, col]))
+            found.append((part[row], flat[col], g[row, col]))
         return (rows, np.concatenate(tops), *map(np.concatenate, zip(*found)))
 
     workers = min(available_cpus(), block // chunk, n_chunks)
     with thread_map(workers) as pmap:
         if group > 1:
-            for found in pmap(pass_a, range(0, n_reps, chunk)):
+            for found in pmap(pass_a, range(0, n_reps, step)):
                 for rows, s_top, raised in found:
                     np.maximum(top[rows], s_top, out=top[rows])
                     for chunks, b in raised:
@@ -357,10 +506,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
-        step = min(chunk, _RESCORE_PAIRS)
+        pairs = min(chunk, _RESCORE_PAIRS)
         rescored = list(pmap(lambda i: _rescore(cfg, vectors, angle_samples, range_samples,
-                                                rows[i:i + step], flats[i:i + step]),
-                             range(0, len(rows), step)))
+                                                rows[i:i + pairs], flats[i:i + pairs]),
+                             range(0, len(rows), pairs)))
     gains = np.concatenate([np.empty(0), *rescored])
     pick = np.lexsort((flats, -gains, rows))
     first = np.ones(len(pick), dtype=bool)
@@ -528,7 +677,11 @@ def run_protocol_batch(cfg: ArrayConfig, vectors: np.ndarray, cb1: PolarCodebook
         f_rf = steering_matrix_exact(cfg, *cb1.locations(idx)).reshape(n_trials, k_users, m)
         gains, idx = gains.reshape(n_trials, k_users), idx.reshape(n_trials, k_users)
     f_rf = np.swapaxes(f_rf, 1, 2)
-    g = np.einsum("tkm,tml->tkl", vectors.conj(), f_rf)  # rows h_k^H F_RF
+    # h^H F = conj(h^T conj(F)) bit for bit, so conjugating our own F_RF (and
+    # hybrid, below) in place spares a (T, K, M) copy of vectors.conj()
+    np.conjugate(f_rf, out=f_rf)
+    g = np.conjugate(np.einsum("tkm,tml->tkl", vectors, f_rf))  # rows h_k^H F_RF
+    np.conjugate(f_rf, out=f_rf)
     if full_csi:
         ghat = g
     else:
@@ -537,7 +690,8 @@ def run_protocol_batch(cfg: ArrayConfig, vectors: np.ndarray, cb1: PolarCodebook
     hybrid = np.einsum("tmk,tkl->tml", f_rf, f_bb)
     scale = np.maximum(np.linalg.norm(hybrid, axis=1, keepdims=True), 1e-300)
     hybrid /= scale
-    rx = np.abs(np.einsum("tkm,tml->tkl", vectors.conj(), hybrid))
+    np.conjugate(hybrid, out=hybrid)
+    rx = np.abs(np.einsum("tkm,tml->tkl", vectors, hybrid))
     return ProtocolBatch(idx, gains, f_rf, ghat, f_bb / scale, rx, singular)
 
 

@@ -180,7 +180,7 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
                                                   block, workers):
     lock = threading.Lock()
     live = [0, 0]            # codewords under construction now, and at most
-    build = feedback._bulk_conj_codewords
+    build = feedback._bulk_fold_codewords
 
     def counted(cfg, angle_samples, range_samples, start, stop):
         with lock:
@@ -193,7 +193,7 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
             with lock:
                 live[0] -= stop - start
 
-    monkeypatch.setattr(feedback, "_bulk_conj_codewords", counted)
+    monkeypatch.setattr(feedback, "_bulk_fold_codewords", counted)
     monkeypatch.setattr(feedback, "available_cpus", lambda: 8)
     angles = np.linspace(-0.5, 0.5, 6000)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
@@ -203,7 +203,8 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
     _, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]), block=block)
     assert np.array_equal(idx, _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))[1])
     assert recorded_pools == [workers]
-    assert feedback.SCAN_CHUNK < live[1] <= block
+    # a job builds half of its SCAN_CHUNK codewords and scores the rest as mirrors
+    assert feedback.SCAN_CHUNK // 2 < live[1] <= block
     assert live[0] == 0
 
 
@@ -229,7 +230,14 @@ def test_bulk_trig_error_within_assumed_bound():
         assert err.max() <= feedback._TRIG_ERR * feedback._U32
 
 
-@pytest.mark.parametrize("m", [129, 387])
+def _documented_bulk_error(m, rows):
+    "E as README's \"Costs at a glance\" gives it, for unpaired grids: sqrt(2) gamma_{2 ceil(M/2) + 4} + 4u + eps_trig."
+    u, n = 2.0**-24, 2 * ((m + 1) // 2) + 4
+    rel = np.sqrt(2.0) * n * u / (1 - n * u) + 4 * u + (np.pi + 2 * np.sqrt(2.0) + 1) * u
+    return np.linalg.norm(rows, axis=1) * np.sqrt(m) * rel
+
+
+@pytest.mark.parametrize("m", [128, 129, 387])
 def test_bulk_score_error_within_bound(region, m):
     cfg = ArrayConfig(m, carrier_frequency=30e9)
     cb = scheme_codebook(cfg, region, "hybrid", 6, 3)    # far-field ring included
@@ -239,11 +247,40 @@ def test_bulk_score_error_within_bound(region, m):
     spiky[:, 0] *= 1e6                                   # one entry dwarfs the rest
     scaled = feedback._pow2_scaled(np.vstack([vecs, near_zero, spiky]))
     bound = feedback._bulk_error_bound(cfg, scaled)
+    assert np.allclose(bound, _documented_bulk_error(m, scaled), rtol=1e-14, atol=0)
     cw32 = feedback._bulk_conj_codewords(cfg, cb.angle_samples, cb.range_samples, 0, len(cb))
     assert np.abs(cw32 - np.sqrt(m) * cb.codewords.conj()).max() <= feedback._EPS_TRIG
-    bulk = feedback._bulk_scores(scaled.astype(np.complex64), cw32)
-    exact = np.abs(scaled @ cb.codewords.conj().T) * np.sqrt(m)
-    assert (np.abs(bulk - exact) <= bound[:, None]).all()
+    # every codeword folded, scored as itself and as its mirror at -theta
+    folded = feedback._bulk_fold_codewords(cfg, cb.angle_samples, cb.range_samples, 0, len(cb))
+    bulk = feedback._bulk_scores(feedback._fold_rows(scaled).astype(np.complex64), folded,
+                                 len(cb))
+    theta, r = cb.locations(np.arange(len(cb)))
+    for cw, got in ((cb.codewords, bulk[:, :len(cb)]),
+                    (steering_matrix_exact(cfg, -theta, r), bulk[:, len(cb):])):
+        exact = np.abs(scaled @ cw.conj().T) * np.sqrt(m)
+        assert (np.abs(got - exact) <= bound[:, None]).all()
+
+
+def test_fold_recombines_to_the_product_and_its_mirror():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 7, 8):
+        x = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        y = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+        fx, fy = feedback._fold_rows(x), feedback._fold(y, np.empty_like(y))
+        half = (m + 1) // 2
+        s = fx[:, :half] @ fy[:, :half].T
+        a = fx[:, half:] @ fy[:, half:].T
+        assert np.allclose(s + a, x @ y.T, rtol=0, atol=1e-12)
+        assert np.allclose(s - a, x @ y[:, ::-1].T, rtol=0, atol=1e-12)
+
+
+def test_bulk_error_bound_near_half_the_unfolded_one(cfg387):
+    # unfolded, one complex64 product of length M: sqrt(2) gamma_{2M + 2} + 2u + eps_trig
+    u, n = 2.0**-24, 2 * 387 + 2
+    unfolded = np.sqrt(2.0) * n * u / (1 - n * u) + 2 * u + feedback._EPS_TRIG
+    rel = feedback._bulk_error_bound(cfg387, np.eye(387)[:1] / np.sqrt(387))[0]
+    assert rel == pytest.approx(3.37e-5, rel=1e-3)
+    assert 0.5 < rel / unfolded < 0.52
 
 
 def test_scan_matches_per_ring_scan_on_dense_rings(cfg129, region):
@@ -271,7 +308,7 @@ def test_scan_zero_row(cfg129, small_cb):
 
 def _unpruned(monkeypatch):
     "Run the scan with one codeword per cluster: no pass A, every row meets every chunk."
-    monkeypatch.setattr(feedback, "_cluster_size", lambda cfg, angle_samples: 1)
+    monkeypatch.setattr(feedback, "_cluster_size", lambda *args: 1)
 
 
 @pytest.mark.parametrize("scheme", ["geometric", "hyperbolic", "uniform", "dft", "hybrid"])
@@ -329,46 +366,49 @@ def test_scan_gate_catches_halved_radius(cfg129, monkeypatch):
 
 
 def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
-    # grid point 0.1 at flat 0, 1, 6 and 7, so clusters 0 and 3 tie in float64.
-    # Every bulk product is pushed 0.9 E down in the first half of its columns
-    # and 0.9 E up in the second, a rounding error the margin must absorb:
+    # grid point 0.1 at flat 0, 1, 6 and 7, so clusters 0 and 3 tie in float64;
+    # no angle has a mirror.  Every bulk product is pushed 0.9 E down in the
+    # first half of its columns and 0.9 E up in the second, a rounding error
+    # the margin must absorb (E as documented, so a smaller margin fails):
     # pass A sees cluster 3's representative 1.8 E above cluster 0's, and
-    # chunk 0 (clusters 0 and 1) sees cluster 0's low, yet cluster 0 holds the
-    # lowest tied index and has to be kept
+    # chunk 0 (cluster 0: at block 4 a chunk holds two codewords) sees flat 0
+    # 1.8 E below flat 1, yet flat 0 holds the lowest tied index and has to be kept
     angles = np.array([0.1, 0.1, -0.3, -0.298, 0.35, 0.352, 0.1, 0.1])
     ranges = np.array([30.0])
     assert feedback._cluster_size(cfg129, angles) == 2
+    h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
+    e = _documented_bulk_error(129, feedback._pow2_scaled(h[None]))
     scores = feedback._bulk_scores
 
-    def skewed(rows32, cw32):
-        bound = feedback._bulk_error_bound(cfg129, rows32.astype(np.complex128))
+    def skewed(rows32, cw32, mirrored):
+        assert mirrored == 0
         sign = np.where(np.arange(len(cw32)) < len(cw32) / 2, -0.9, 0.9)
-        return scores(rows32, cw32) + bound[:, None] * sign
+        return scores(rows32, cw32, mirrored) + e[:, None] * sign
 
     monkeypatch.setattr(feedback, "_bulk_scores", skewed)
-    h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
     gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=4)
     assert idx[0] == 0
     assert gain[0] == pytest.approx(np.linalg.norm(h))
 
 
 def test_scan_skips_chunks_no_row_keeps(cfg129, monkeypatch):
-    # one line-of-sight row at angle index ~3600 of 6000: only chunk 3 of the
-    # six 1024-codeword chunks is built in full
+    # one line-of-sight row at angle index ~3600 of 6000, lead position ~600
+    # of the 3000 positive angles: only chunk 1 of the six 512-codeword folded
+    # chunks (each scoring 1024 grid codewords with the mirrors) is built in full
     angles = np.linspace(-0.5, 0.5, 6000)
     built = []
-    build = feedback._bulk_conj_codewords
+    build = feedback._bulk_fold_codewords
 
     def recorded(cfg, angle_samples, range_samples, start, stop):
-        if angle_samples is angles:
+        if np.array_equal(angle_samples, angles[3000:]):
             built.append(start)
         return build(cfg, angle_samples, range_samples, start, stop)
 
-    monkeypatch.setattr(feedback, "_bulk_conj_codewords", recorded)
+    monkeypatch.setattr(feedback, "_bulk_fold_codewords", recorded)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
     gain, idx = best_codeword_scan(cfg129, h, angles, np.array([30.0]))
     ref_gain, ref_idx = _scan_per_ring(cfg129, h, angles, np.array([30.0]))
-    assert built == [3072]
+    assert built == [512]
     assert idx[0] == ref_idx[0] and abs(gain[0] - ref_gain[0]) <= 1e-12
 
 
@@ -867,3 +907,95 @@ def test_scan_tie_across_row_blocks_and_chunks(cfg129, region):
     assert list(idx[tied]) == [1023] * 4
     assert np.array_equal(idx, ref_idx)
     assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+def _symmetric_angles(n):
+    "n angles of the default region, negatives the exact negations of the positives."
+    pos = np.linspace(0.5, 0.0, n // 2, endpoint=False)[::-1]
+    return np.concatenate([-pos[::-1], [0.0] * (n % 2), pos])
+
+
+def test_mirror_pairs():
+    angles = np.array([0.2, -0.3, 0.0, 0.3 + 2**-53, -0.2, 0.2, 0.7, -0.7 - 2**-40])
+    lead, mirror = feedback._mirror_pairs(angles)
+    # 0.2 twice but -0.2 once; 0.7 and -0.7 - 2^-40 are too far apart to pair
+    assert list(lead) == [0, 3, 2, 5, 6, 7] and list(mirror) == [4, 1]
+    assert sorted([*lead, *mirror]) == list(range(8))
+    uniform = scheme_codebook(ArrayConfig(129, carrier_frequency=30e9),
+                              PolarRegion(-0.5, 0.5, 4.0, 120.0), "geometric", 12, 0)
+    lead, mirror = feedback._mirror_pairs(uniform.angle_samples)
+    assert list(lead) == list(range(2048, 4096)) and list(mirror) == list(range(2047, -1, -1))
+    assert feedback._mirror_pairs(np.array([0.0]))[1].size == 0
+
+
+def _partly_mirrored_angles():
+    "Region [-0.3, 0.5]: 500 angles 0.001 apart above 0, and the mirrors of the first 299."
+    pos = 0.0005 + 0.001 * np.arange(500)
+    return np.concatenate([-pos[:299][::-1], pos])
+
+
+@pytest.mark.parametrize("m", [128, 129])
+@pytest.mark.parametrize("angles,mirrors", [
+    (_partly_mirrored_angles(), 299),       # 299 pairs and 201 angles alone
+    (np.linspace(0.1, 0.6, 600), 0),        # no pairs
+    (_symmetric_angles(600), 300),          # exact mirrors
+    (_symmetric_angles(601), 300),          # and theta = 0 exactly
+])
+@pytest.mark.parametrize("pruned", [True, False])
+def test_folded_scan_matches_per_ring_scan(region, monkeypatch, m, angles, mirrors, pruned):
+    # odd and even M (no centre entry), partial pairs whose clusters straddle
+    # the paired and the unpaired lead angles, no pairs at all, and theta = 0
+    cfg = ArrayConfig(m, carrier_frequency=30e9)
+    assert len(feedback._mirror_pairs(angles)[1]) == mirrors
+    if pruned:
+        lead, mirror = feedback._mirror_pairs(angles)
+        assert feedback._cluster_size(cfg, angles[lead], len(mirror)) > 1
+    else:
+        _unpruned(monkeypatch)
+    ranges = np.array([6.0, 25.0, np.inf])
+    vecs = _scan_vectors(cfg, region, 6)
+    ref_gain, ref_idx = _scan_per_ring(cfg, vecs, angles, ranges)
+    gain, idx = best_codeword_scan(cfg, vecs, angles, ranges)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+def test_folded_scan_with_mirrors_one_ulp_apart(cfg129, region):
+    # every negative angle one ulp off the negation of its positive mirror:
+    # the pairs hold, and E grows by their mismatch
+    angles = _symmetric_angles(512)
+    angles[:256] = np.nextafter(angles[:256], 0.0)
+    lead, mirror = feedback._mirror_pairs(angles)
+    assert len(mirror) == 256
+    mismatch = feedback._mirror_mismatch(cfg129, angles, lead, mirror)
+    assert 0 < mismatch < 1e-12
+    assert feedback._mirror_mismatch(cfg129, _symmetric_angles(512), lead, mirror) == 0
+    ranges = scheme_codebook(cfg129, region, "geometric", 0, 2).range_samples
+    vecs = _scan_vectors(cfg129, region, 6)
+    # rows aimed at the mirror members, where the one-ulp error sits
+    vecs[:4] = steering_matrix_exact(cfg129, angles[[3, 40, 100, 255]], ranges[[0, 1, 2, 3]])
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, ranges)
+    gain, idx = best_codeword_scan(cfg129, vecs, angles, ranges)
+    assert np.array_equal(idx, ref_idx)
+    assert list(idx[:4]) == [3 * 4, 40 * 4 + 1, 100 * 4 + 2, 255 * 4 + 3]
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+def test_scan_builds_half_of_a_symmetric_grid(cfg129, region, monkeypatch):
+    # 2^10 angles x 8 rings with one codeword per cluster: every row meets
+    # every chunk, and the scan builds only the 4096 codewords of positive angle
+    _unpruned(monkeypatch)
+    built = []
+    build = feedback._bulk_fold_codewords
+
+    def counted(cfg, angle_samples, range_samples, start, stop):
+        built.append(stop - start)
+        return build(cfg, angle_samples, range_samples, start, stop)
+
+    monkeypatch.setattr(feedback, "_bulk_fold_codewords", counted)
+    cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
+    vecs = _scan_vectors(cfg129, region, 2)
+    _, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert sum(built) == len(cb) // 2 and max(built) == feedback.SCAN_CHUNK // 2
+    assert np.array_equal(idx, _scan_per_ring(cfg129, vecs, cb.angle_samples,
+                                              cb.range_samples)[1])

@@ -88,7 +88,7 @@ def test_scan_workers_run_single_threaded_blas(cfg129, monkeypatch, blas_count):
     counts = []
     scores = feedback._bulk_scores
     monkeypatch.setattr(feedback, "_bulk_scores",
-                        lambda rows, cw: counts.append(blas_count()) or scores(rows, cw))
+                        lambda *args: counts.append(blas_count()) or scores(*args))
     monkeypatch.setattr(feedback, "available_cpus", lambda: 2)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
     best_codeword_scan(cfg129, h, np.linspace(-0.5, 0.5, 3000), np.array([30.0]))
