@@ -26,9 +26,9 @@ half of them and scores the other half as their mirrors.  Fixed, so chunk
 boundaries do not depend on the number of CPUs."""
 
 _ROW_BLOCK = 128
-"""Rows per complex64 product of the phase-1 scan.  The product and its float64
-modulus take 16 bytes per score, 2 MiB at a full chunk, whatever the number of
-rows."""
+"""Rows per pair of complex64 products of the phase-1 scan.  S, A, S - A and the
+two float64 moduli take 40 bytes per built codeword, 2.5 MiB at a full chunk,
+whatever the number of rows."""
 
 _BUILD_STEP = 128
 "Codewords per step of `_bulk_fold_codewords`: its float64 temporaries stay near 0.4 MB at M = 387."
@@ -113,14 +113,14 @@ def _bulk_fold_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: 
 
 
 def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int) -> np.ndarray:
-    """Bulk scores of folded complex64 rows against `_bulk_fold_codewords`, in float64.
+    """Bulk scores of `_fold_rows` rows, cast to complex64, against `_bulk_fold_codewords`.
 
-    Returns (rows, len(cw32) + mirrored) scores: |S + A| * sqrt(M)-scaled
-    against every codeword, then |S - A|, against the antenna reversals of
-    the first `mirrored` codewords.  S and A are the complex64 products of
-    the sum and the difference halves, each about M / 2 long; S + A and
-    S - A are rounded to complex64, and the modulus is the complex128 one
-    of that exactly widened result (numpy widens it in small buffers).
+    Returns (rows, len(cw32) + mirrored) float64 scores: |S + A| against
+    every codeword, then |S - A| against the antenna reversals of the first
+    `mirrored` codewords.  S and A are the complex64 products of the sum
+    and the difference halves, each about M / 2 long; S + A and S - A are
+    rounded to complex64, and the modulus is the complex128 one of that
+    exactly widened result (numpy widens it in small buffers).
     """
     n = len(cw32)
     half = (rows32.shape[1] + 1) // 2
@@ -373,16 +373,15 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     row and chunk, the largest score + ||v|| sqrt(M) rho over the clusters
     with a member in the chunk (`_member_chunks`) and over both signs,
     rounded upward to float32; its jobs return both per row block and the
-    main thread merges them.  In
-    pass B a row meets a chunk only if that bound reaches top - 2E; a row
-    that does not cannot reach its float64 maximum in the chunk.  The chunk
-    builds its codewords only if some row meets it, scores them and their
-    mirrors against those rows, and keeps, per row, each score within 2E of
-    the best of the chunk's and the row's best bulk score merged so far
-    (`top` and the chunks already in).  The main thread takes the chunks in
-    order and drops, as each arrives, its codewords more than 2E below the
-    row's best bulk score so far, and once every chunk is in, those more
-    than 2E below the final best.  A codeword whose float64 gain equals
+    main thread merges them.  In pass B a row meets a chunk only if that
+    bound reaches top - 2E; a row that does not cannot reach its float64
+    maximum in the chunk.  The chunk builds its codewords only if some row
+    meets it, scores them and their mirrors against those rows, and keeps,
+    per row, each score within 2E of the best of the chunk's and the row's
+    best bulk score merged so far (`top` and the chunks already in).  The
+    main thread takes the chunks in order and drops, as each arrives, its
+    codewords more than 2E below the row's best bulk score so far, and once
+    every chunk is in, those more than 2E below the final best.  A codeword whose float64 gain equals
     the row's maximum scores within E of it, and no bulk score exceeds it
     by more than E, so all of them survive.  With G = 1 there is no pass A
     and every row meets every chunk.
