@@ -3,6 +3,7 @@ quantization, zero-forcing digital beamforming and per-user rates."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,43 @@ _EPS_TRIG = (np.pi + np.sqrt(2.0) * _TRIG_ERR + 1.0) * _U32
 "Bound on |c'_i - c_i| per entry of a bulk codeword; see `_bulk_error_bound`."
 
 _TWO_PI = 2.0 * np.pi
+
+
+class _Tiles:
+    """Scratch arrays of a phase-1 scan job, which the scan's later jobs reuse.
+
+    numpy maps a fresh array of a megabyte or more from the system, and every
+    job would page-fault it in again; a job instead borrows a tile set
+    (`_tiled`) and returns it when done, so a scan maps one set per worker.  A tile grows when a job needs
+    more than it holds; tiles are bytes, viewed as the dtype a job asks for.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape, dtype) -> np.ndarray:
+        "An uninitialized C-contiguous `shape` array of `dtype` in tile `name`."
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._arrays[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _tiled(job, spare: list):
+    """`job(item, tiles)` as a job of one argument that borrows a tile set from
+    `spare` (or a new one) while it runs.  `spare` ends up with as many sets
+    as jobs ran at once."""
+    def run(item):
+        try:
+            tiles = spare.pop()
+        except IndexError:
+            tiles = _Tiles()
+        try:
+            return job(item, tiles)
+        finally:
+            spare.append(tiles)
+    return run
 
 
 def _bulk_conj_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
@@ -97,14 +135,15 @@ def _fold_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _bulk_fold_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
-                         stop: int) -> np.ndarray:
+                         stop: int, tiles: _Tiles | None = None) -> np.ndarray:
     """`_bulk_conj_codewords` in the layout of `_fold`, built `_BUILD_STEP` codewords at a time.
 
     With `_fold_rows` rows, the sum half and the difference half of a
     product give S and A: S + A is the product with codeword c and S - A
     the product with its antenna reversal J c (see `_bulk_scores`).
+    The result is tile "chunk" of `tiles`.
     """
-    cw = np.empty((stop - start, cfg.num_antennas), np.complex64)
+    cw = (tiles or _Tiles()).get("chunk", (stop - start, cfg.num_antennas), np.complex64)
     for lo in range(start, stop, _BUILD_STEP):
         out = slice(lo - start, min(lo + _BUILD_STEP, stop) - start)
         _fold(_bulk_conj_codewords(cfg, angle_samples, range_samples, lo, start + out.stop),
@@ -112,7 +151,8 @@ def _bulk_fold_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: 
     return cw
 
 
-def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int) -> np.ndarray:
+def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
+                 tiles: _Tiles | None = None) -> np.ndarray:
     """Bulk scores of `_fold_rows` rows, cast to complex64, against `_bulk_fold_codewords`.
 
     Returns (rows, len(cw32) + mirrored) float64 scores: |S + A| against
@@ -120,14 +160,18 @@ def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int) -> np.ndar
     `mirrored` codewords.  S and A are the complex64 products of the sum
     and the difference halves, each about M / 2 long; S + A and S - A are
     rounded to complex64, and the modulus is the complex128 one of that
-    exactly widened result (numpy widens it in small buffers).
+    exactly widened result (numpy widens it in small buffers).  The result
+    is tile "scores" of `tiles`.
     """
-    n = len(cw32)
+    tiles = tiles or _Tiles()
+    n, r = len(cw32), len(rows32)
     half = (rows32.shape[1] + 1) // 2
-    s = rows32[:, :half] @ cw32[:, :half].T
-    a = rows32[:, half:] @ cw32[:, half:].T
-    out = np.empty((len(s), n + mirrored))
-    np.abs(s[:, :mirrored] - a[:, :mirrored], out=out[:, n:], dtype=np.float64)
+    s = np.matmul(rows32[:, :half], cw32[:, :half].T, out=tiles.get("s", (r, n), np.complex64))
+    a = np.matmul(rows32[:, half:], cw32[:, half:].T, out=tiles.get("a", (r, n), np.complex64))
+    out = tiles.get("scores", (r, n + mirrored), np.float64)
+    diff = np.subtract(s[:, :mirrored], a[:, :mirrored],
+                       out=tiles.get("diff", (r, mirrored), np.complex64))
+    np.abs(diff, out=out[:, n:], dtype=np.float64)
     s += a
     np.abs(s, out=out[:, :n], dtype=np.float64)
     return out
@@ -298,7 +342,7 @@ def _cluster_size(cfg: ArrayConfig, angle_samples, split: int = 0) -> int:
 
 
 def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples,
-             rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
+             rows: np.ndarray, flats: np.ndarray, tiles: _Tiles | None = None) -> np.ndarray:
     """Float64 gains |v^H b| of (row, flat index) pairs.
 
     Each distinct codeword is built once with `steering_matrix_exact`; each
@@ -306,13 +350,17 @@ def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples
     depends on M alone, so a pair's gain does not depend on BLAS, threads or
     which other pairs are rescored with it.  That lets the scan rescore its
     survivors `_RESCORE_PAIRS` at a time: three (pairs, M) complex128 arrays,
-    4.8 MB at M = 387.
+    4.8 MB at M = 387, two of them in the "chunk" and "scores" tiles, which
+    pass C borrows from pass B.
     """
+    tiles = tiles or _Tiles()
     uniq, inv = np.unique(flats, return_inverse=True)
     cw = steering_matrix_exact(cfg, *grid_locations(angle_samples, range_samples, uniq))
     np.conjugate(cw, out=cw)
-    prod = cw[inv]
-    prod *= vectors[rows]
+    shape = (len(rows), vectors.shape[1])
+    prod = np.take(cw, inv, axis=0, out=tiles.get("chunk", shape, cw.dtype), mode="clip")
+    prod *= np.take(vectors, rows, axis=0, out=tiles.get("scores", shape, vectors.dtype),
+                    mode="clip")
     return np.abs(prod.sum(axis=1))
 
 
@@ -399,7 +447,8 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     builds at most one chunk of codewords, so at most block / 2 are in
     flight, and scores them `_ROW_BLOCK` rows at a time, so its working
     memory is fixed: the chunk (8 M bytes per codeword) and 40 bytes per
-    codeword and row of one row block (S, A, S - A and both moduli).
+    codeword and row of one row block (S, A, S - A and both moduli), held
+    in tiles that the worker's next job reuses (`_Tiles`).
     Growing with n are a folded complex64 copy of the rows (8 M bytes per
     row), a few float64 per row, the pass-A bound (4 bytes per row and
     chunk) and the survivors (24 bytes each).
@@ -440,7 +489,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     top = np.full(len(live), -np.inf)
     bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
 
-    def pass_a(lo):
+    def pass_a(lo, tiles):
         """Representatives lo..lo+step-1 of the (cluster, ring) grid, per row block:
         the rows, their best bulk scores, and (chunks, bounds) pairs for `bound`."""
         cluster, ring = np.divmod(np.arange(lo, min(lo + step, n_reps)), nq)
@@ -450,10 +499,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         for pos, chunks in _member_chunks(first, sizes[cluster], nq, step):
             cut = np.flatnonzero(np.diff(chunks, prepend=-1))
             layers.append((pos, cut, chunks[cut]))
-        cw = _bulk_fold_codewords(cfg, rep_angles, range_samples, lo, lo + len(ring))
+        cw = _bulk_fold_codewords(cfg, rep_angles, range_samples, lo, lo + len(ring), tiles)
         found = []
         for rows in blocks:
-            s = _bulk_scores(rows32[rows], cw, mirrored)
+            s = _bulk_scores(rows32[rows], cw, mirrored, tiles)
             s, s_mirror = s[:, :len(ring)], s[:, len(ring):]
             s_top = np.maximum(s.max(axis=1), s_mirror.max(axis=1, initial=-np.inf))
             np.maximum(s[:, :mirrored], s_mirror, out=s[:, :mirrored])
@@ -463,7 +512,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             found.append((rows, s_top, raised))
         return found
 
-    def score(k):
+    def score(k, tiles):
         "Chunk k against the rows that meet it: their best bulk scores and survivors."
         start, stop = k * step, min((k + 1) * step, n_fold)
         rows = np.flatnonzero(bound[k] >= floor) if group > 1 else everyone
@@ -473,11 +522,11 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         angle, ring = np.divmod(np.arange(start, stop), nq)
         flat = np.concatenate([lead[angle] * nq + ring,
                                mirror[angle[:mirrored]] * nq + ring[:mirrored]])
-        cw = _bulk_fold_codewords(cfg, lead_angles, range_samples, start, stop)
+        cw = _bulk_fold_codewords(cfg, lead_angles, range_samples, start, stop, tiles)
         tops, found = [], []
         for lo in range(0, len(rows), _ROW_BLOCK):
             part = rows[lo:lo + _ROW_BLOCK]
-            g = _bulk_scores(rows32[part], cw, mirrored)
+            g = _bulk_scores(rows32[part], cw, mirrored, tiles)
             part_top = g.max(axis=1)
             # `final` is read while the main thread raises it: any value it
             # held is some bulk score of the row, so a valid floor
@@ -487,9 +536,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         return (rows, np.concatenate(tops), *map(np.concatenate, zip(*found)))
 
     workers = min(available_cpus(), block // chunk, n_chunks)
+    spare = []                        # the jobs' tile sets, one per worker
     with thread_map(workers) as pmap:
         if group > 1:
-            for found in pmap(pass_a, range(0, n_reps, step)):
+            for found in pmap(_tiled(pass_a, spare), range(0, n_reps, step)):
                 for rows, s_top, raised in found:
                     np.maximum(top[rows], s_top, out=top[rows])
                     for chunks, b in raised:
@@ -497,7 +547,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         floor = top - margin
         final = top.copy()
         parts = [(everyone[:0], everyone[:0], np.empty(0))]
-        for rows, chunk_top, row, flat, s in pmap(score, range(n_chunks)):
+        for rows, chunk_top, row, flat, s in pmap(_tiled(score, spare), range(n_chunks)):
             final[rows] = np.maximum(final[rows], chunk_top)
             kept = s >= (final - margin)[row]
             parts.append((row[kept], flat[kept], s[kept]))
@@ -506,9 +556,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
         pairs = min(chunk, _RESCORE_PAIRS)
-        rescored = list(pmap(lambda i: _rescore(cfg, vectors, angle_samples, range_samples,
-                                                rows[i:i + pairs], flats[i:i + pairs]),
-                             range(0, len(rows), pairs)))
+        rescored = list(pmap(_tiled(lambda i, tiles: _rescore(
+            cfg, vectors, angle_samples, range_samples, rows[i:i + pairs], flats[i:i + pairs],
+            tiles), spare), range(0, len(rows), pairs)))
     gains = np.concatenate([np.empty(0), *rescored])
     pick = np.lexsort((flats, -gains, rows))
     first = np.ones(len(pick), dtype=bool)

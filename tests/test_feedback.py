@@ -182,13 +182,13 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
     live = [0, 0]            # codewords under construction now, and at most
     build = feedback._bulk_fold_codewords
 
-    def counted(cfg, angle_samples, range_samples, start, stop):
+    def counted(cfg, angle_samples, range_samples, start, stop, tiles=None):
         with lock:
             live[0] += stop - start
             live[1] = max(live)
         try:
             time.sleep(0.02)     # hold the chunk so that the workers overlap
-            return build(cfg, angle_samples, range_samples, start, stop)
+            return build(cfg, angle_samples, range_samples, start, stop, tiles)
         finally:
             with lock:
                 live[0] -= stop - start
@@ -380,10 +380,10 @@ def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
     e = _documented_bulk_error(129, feedback._pow2_scaled(h[None]))
     scores = feedback._bulk_scores
 
-    def skewed(rows32, cw32, mirrored):
+    def skewed(rows32, cw32, mirrored, tiles=None):
         assert mirrored == 0
         sign = np.where(np.arange(len(cw32)) < len(cw32) / 2, -0.9, 0.9)
-        return scores(rows32, cw32, mirrored) + e[:, None] * sign
+        return scores(rows32, cw32, mirrored, tiles) + e[:, None] * sign
 
     monkeypatch.setattr(feedback, "_bulk_scores", skewed)
     gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=4)
@@ -399,10 +399,10 @@ def test_scan_skips_chunks_no_row_keeps(cfg129, monkeypatch):
     built = []
     build = feedback._bulk_fold_codewords
 
-    def recorded(cfg, angle_samples, range_samples, start, stop):
+    def recorded(cfg, angle_samples, range_samples, start, stop, tiles=None):
         if np.array_equal(angle_samples, angles[3000:]):
             built.append(start)
-        return build(cfg, angle_samples, range_samples, start, stop)
+        return build(cfg, angle_samples, range_samples, start, stop, tiles)
 
     monkeypatch.setattr(feedback, "_bulk_fold_codewords", recorded)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
@@ -988,9 +988,9 @@ def test_scan_builds_half_of_a_symmetric_grid(cfg129, region, monkeypatch):
     built = []
     build = feedback._bulk_fold_codewords
 
-    def counted(cfg, angle_samples, range_samples, start, stop):
+    def counted(cfg, angle_samples, range_samples, start, stop, tiles=None):
         built.append(stop - start)
-        return build(cfg, angle_samples, range_samples, start, stop)
+        return build(cfg, angle_samples, range_samples, start, stop, tiles)
 
     monkeypatch.setattr(feedback, "_bulk_fold_codewords", counted)
     cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
@@ -999,3 +999,24 @@ def test_scan_builds_half_of_a_symmetric_grid(cfg129, region, monkeypatch):
     assert sum(built) == len(cb) // 2 and max(built) == feedback.SCAN_CHUNK // 2
     assert np.array_equal(idx, _scan_per_ring(cfg129, vecs, cb.angle_samples,
                                               cb.range_samples)[1])
+
+
+def test_scan_jobs_share_one_tile_set_per_worker(cfg129, region, monkeypatch):
+    # 16 jobs of passes A, B and C on two workers borrow and return scratch
+    # tiles: the scan makes at most two sets, and no two jobs write one at once
+    made = []
+
+    class Counted(feedback._Tiles):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(feedback, "_Tiles", Counted)
+    monkeypatch.setattr(feedback, "available_cpus", lambda: 2)
+    cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
+    vecs = _scan_vectors(cfg129, region, 4)
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert 1 <= len(made) <= 2
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
