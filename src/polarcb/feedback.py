@@ -350,8 +350,7 @@ def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples
     depends on M alone, so a pair's gain does not depend on BLAS, threads or
     which other pairs are rescored with it.  That lets the scan rescore its
     survivors `_RESCORE_PAIRS` at a time: three (pairs, M) complex128 arrays,
-    4.8 MB at M = 387, two of them in the "chunk" and "scores" tiles, which
-    pass C borrows from pass B.
+    4.8 MB at M = 387, two of them in the "chunk" and "scores" tiles.
     """
     tiles = tiles or _Tiles()
     uniq, inv = np.unique(flats, return_inverse=True)
@@ -551,6 +550,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             final[rows] = np.maximum(final[rows], chunk_top)
             kept = s >= (final - margin)[row]
             parts.append((row[kept], flat[kept], s[kept]))
+        spare.clear()                 # free pass B's tiles before the survivors merge
         rows, flats, scores = map(np.concatenate, zip(*parts))
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))

@@ -1003,7 +1003,8 @@ def test_scan_builds_half_of_a_symmetric_grid(cfg129, region, monkeypatch):
 
 def test_scan_jobs_share_one_tile_set_per_worker(cfg129, region, monkeypatch):
     # 16 jobs of passes A, B and C on two workers borrow and return scratch
-    # tiles: the scan makes at most two sets, and no two jobs write one at once
+    # tiles: passes A and B make at most two sets, pass C at most two more,
+    # and no two jobs write one set at once
     made = []
 
     class Counted(feedback._Tiles):
@@ -1017,6 +1018,6 @@ def test_scan_jobs_share_one_tile_set_per_worker(cfg129, region, monkeypatch):
     vecs = _scan_vectors(cfg129, region, 4)
     ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
     gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
-    assert 1 <= len(made) <= 2
+    assert 2 <= len(made) <= 4
     assert np.array_equal(idx, ref_idx)
     assert np.abs(gain - ref_gain).max() <= 1e-12
