@@ -56,8 +56,9 @@ class _Tiles:
 
     numpy maps a fresh array of a megabyte or more from the system, and every
     job would page-fault it in again; a job instead borrows a tile set
-    (`_tiled`) and returns it when done, so a scan maps one set per worker.  A tile grows when a job needs
-    more than it holds; tiles are bytes, viewed as the dtype a job asks for.
+    (`_tiled`) and returns it when done, so a scan maps one set per worker.
+    A tile grows when a job needs more than it holds; tiles are bytes,
+    viewed as the dtype a job asks for.
     """
 
     def __init__(self):
@@ -428,10 +429,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     best bulk score merged so far (`top` and the chunks already in).  The
     main thread takes the chunks in order and drops, as each arrives, its
     codewords more than 2E below the row's best bulk score so far, and once
-    every chunk is in, those more than 2E below the final best.  A codeword whose float64 gain equals
-    the row's maximum scores within E of it, and no bulk score exceeds it
-    by more than E, so all of them survive.  With G = 1 there is no pass A
-    and every row meets every chunk.
+    every chunk is in, those more than 2E below the final best.  A codeword
+    whose float64 gain equals the row's maximum scores within E of it, and
+    no bulk score exceeds it by more than E, so all of them survive.  With
+    G = 1 there is no pass A and every row meets every chunk.
 
     Pass C rescores the surviving (row, codeword) pairs in float64, in flat
     order, in steps of at most min(block, _RESCORE_PAIRS) pairs, and keeps

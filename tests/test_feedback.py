@@ -231,7 +231,8 @@ def test_bulk_trig_error_within_assumed_bound():
 
 
 def _documented_bulk_error(m, rows):
-    "E as README's \"Costs at a glance\" gives it, for unpaired grids: sqrt(2) gamma_{2 ceil(M/2) + 4} + 4u + eps_trig."
+    """E as README's "Costs at a glance" gives it, without mirror mismatch:
+    sqrt(2) gamma_{2 ceil(M/2) + 4} + 4u + eps_trig, times ||v|| sqrt(M)."""
     u, n = 2.0**-24, 2 * ((m + 1) // 2) + 4
     rel = np.sqrt(2.0) * n * u / (1 - n * u) + 4 * u + (np.pi + 2 * np.sqrt(2.0) + 1) * u
     return np.linalg.norm(rows, axis=1) * np.sqrt(m) * rel
