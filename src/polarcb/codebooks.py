@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import ArrayConfig, PolarRegion, _phase_diff_exact, _steering_from_diff
+from .array_model import ArrayConfig, PolarRegion, steering_matrix_exact
 
 
 def _sample_count(bits: int) -> int:
@@ -201,26 +201,11 @@ def grid_locations(angle_samples, range_samples, flat):
     return np.asarray(angle_samples)[flat // nq], np.asarray(range_samples)[flat % nq]
 
 
-def grid_phase_diff(cfg: ArrayConfig, angle_samples, range_samples, start: int,
-                    stop: int) -> np.ndarray:
-    """(stop - start, M) path differences r^(m) - r at flat grid indices start..stop-1.
-
-    Codeword entry m is exp(-i k (r^(m) - r)) / sqrt(M) with k the wavenumber;
-    the float64 build (`grid_codewords`) and the phase-1 scan's complex64
-    bulk build both start from this array.
-    """
-    theta, r = grid_locations(angle_samples, range_samples, np.arange(start, stop))
-    return _phase_diff_exact(cfg, theta, r)
-
-
 def grid_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
                    stop: int) -> np.ndarray:
-    """(stop - start, M) codewords at flat grid indices start..stop-1.
-
-    Bit-identical to `steering_matrix_exact` at the same grid points.
-    """
-    return _steering_from_diff(cfg, grid_phase_diff(cfg, angle_samples, range_samples,
-                                                    start, stop))
+    "(stop - start, M) codewords at flat grid indices start..stop-1, by `steering_matrix_exact`."
+    return steering_matrix_exact(cfg, *grid_locations(angle_samples, range_samples,
+                                                      np.arange(start, stop)))
 
 
 _EXPORT_BLOCK = 4096

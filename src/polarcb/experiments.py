@@ -385,16 +385,12 @@ def _run_training_ranges(c: ExperimentConfig):
     return training_ranges(c) if "extended" in c.schemes else None
 
 
-def run_gain_vs_q(c: ExperimentConfig):
+def run_gain_sweep(c: ExperimentConfig):
+    "Gain rows of `gain_vs_q` and `gain_vs_m`: one set of user locations, the integer key swept."
+    key = {"gain_vs_q": "q", "gain_vs_m": "num_antennas"}[c.experiment]
     pts = sample_locations(c.distribution_spec(), c.n_trials, stream_seed(c.seed, "gain"))
-    return _gain_rows(c, "q", [int(v) for v in (c.sweep or (c.q,))], lambda sub, q: pts,
-                      _run_training_ranges(c))
-
-
-def run_gain_vs_m(c: ExperimentConfig):
-    pts = sample_locations(c.distribution_spec(), c.n_trials, stream_seed(c.seed, "gain"))
-    return _gain_rows(c, "num_antennas", [int(v) for v in (c.sweep or (c.num_antennas,))],
-                      lambda sub, m: pts, _run_training_ranges(c))
+    return _gain_rows(c, key, [int(v) for v in (c.sweep or (getattr(c, key),))],
+                      lambda sub, value: pts, _run_training_ranges(c))
 
 
 def run_gain_vs_rmax(c: ExperimentConfig):
@@ -428,8 +424,8 @@ def run_multipath_gain_vs_q(c: ExperimentConfig):
 
 _RUNNERS = {
     "rate_vs_snr": run_rate_vs_snr,
-    "gain_vs_q": run_gain_vs_q,
-    "gain_vs_m": run_gain_vs_m,
+    "gain_vs_q": run_gain_sweep,
+    "gain_vs_m": run_gain_sweep,
     "gain_vs_rmax": run_gain_vs_rmax,
     "multipath_gain_vs_q": run_multipath_gain_vs_q,
 }

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, antenna_offsets, steering_matrix_exact
+from .array_model import ArrayConfig, _phase_diff_exact, antenna_offsets, steering_matrix_exact
 from .channels import ChannelArrays, ChannelRealization, channel_vectors
-from .codebooks import PolarCodebook, grid_locations, grid_phase_diff
+from .codebooks import PolarCodebook, grid_locations
 from .parallel import available_cpus, thread_map
 
 
@@ -89,17 +89,17 @@ def _tiled(job, spare: list):
     return run
 
 
-def _bulk_conj_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
-                         stop: int) -> np.ndarray:
-    """Complex64 stand-ins for sqrt(M) * conj(grid_codewords(...)), unit-modulus entries.
+def _bulk_conj_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Complex64 stand-ins for sqrt(M) * conj(steering_matrix_exact(cfg, theta, r)).
 
-    The phase k (r^(m) - r) is formed in float64 exactly as the float64 build
-    forms it, reduced to [-pi, pi] in float64, and only then cast to float32,
-    so the float32 cos and sin see a phase whose cast costs at most pi * u.
-    `_bulk_fold_codewords` calls it `_BUILD_STEP` codewords at a time.
+    Entries have unit modulus.  The phase k (r^(m) - r) is formed in
+    float64 exactly as the float64 build forms it, reduced to [-pi, pi] in
+    float64, and only then cast to float32, so the float32 cos and sin see a
+    phase whose cast costs at most pi * u.  `_bulk_fold_codewords` calls it
+    `_BUILD_STEP` codewords at a time.
     """
-    cw = np.empty((stop - start, cfg.num_antennas), np.complex64)
-    phase = grid_phase_diff(cfg, angle_samples, range_samples, start, stop)
+    cw = np.empty((len(theta), cfg.num_antennas), np.complex64)
+    phase = _phase_diff_exact(cfg, theta, r)
     phase *= cfg.wavenumber
     turns = np.multiply(phase, 1.0 / _TWO_PI)
     np.rint(turns, out=turns)
@@ -135,8 +135,8 @@ def _fold_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bulk_fold_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: int,
-                         stop: int, tiles: _Tiles | None = None) -> np.ndarray:
+def _bulk_fold_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray,
+                         tiles: _Tiles | None = None) -> np.ndarray:
     """`_bulk_conj_codewords` in the layout of `_fold`, built `_BUILD_STEP` codewords at a time.
 
     With `_fold_rows` rows, the sum half and the difference half of a
@@ -144,11 +144,10 @@ def _bulk_fold_codewords(cfg: ArrayConfig, angle_samples, range_samples, start: 
     the product with its antenna reversal J c (see `_bulk_scores`).
     The result is tile "chunk" of `tiles`.
     """
-    cw = (tiles or _Tiles()).get("chunk", (stop - start, cfg.num_antennas), np.complex64)
-    for lo in range(start, stop, _BUILD_STEP):
-        out = slice(lo - start, min(lo + _BUILD_STEP, stop) - start)
-        _fold(_bulk_conj_codewords(cfg, angle_samples, range_samples, lo, start + out.stop),
-              cw[out])
+    cw = (tiles or _Tiles()).get("chunk", (len(theta), cfg.num_antennas), np.complex64)
+    for lo in range(0, len(theta), _BUILD_STEP):
+        part = slice(lo, lo + _BUILD_STEP)
+        _fold(_bulk_conj_codewords(cfg, theta[part], r[part]), cw[part])
     return cw
 
 
@@ -273,22 +272,34 @@ def _mirror_pairs(angle_samples) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([lead, np.flatnonzero(alone)]), mirror
 
 
+def _angle_move(cfg: ArrayConfig, move, peak) -> np.ndarray:
+    """Bound on ||b(theta', r) - b(theta, r)|| over all ranges r, for |theta' - theta| <= `move`
+    and |theta|, |theta'| <= `peak`; infinite where `peak` >= 1.
+
+    With (r^(m))^2 = (d_m - r theta)^2 + r^2 (1 - theta^2),
+    |d r^(m) / d theta| = r |d_m| / r^(m) <= |d_m| / sqrt(1 - theta^2) (the
+    plane wave's |d_m| too), and |e^{ix} - 1| <= |x|, so the bound is
+    k `move` rms_m(|d_m|) / sqrt(1 - peak^2), raised by a relative 2^-20
+    for its own float64 rounding.
+    """
+    slope = cfg.wavenumber * np.sqrt(np.mean((antenna_offsets(cfg) * cfg.spacing) ** 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = slope * move / np.sqrt(1.0 - peak**2) * (1.0 + 2.0**-20)
+    return np.where(peak < 1.0, bound, np.inf)
+
+
 def _mirror_mismatch(cfg: ArrayConfig, angle_samples, lead: np.ndarray,
                      mirror: np.ndarray) -> float:
     """Largest ||b(theta_j, r) - J b(theta_i, r)|| over the mirror pairs (i, j) and all ranges.
 
-    J b(theta_i, r) = b(-theta_i, r) for the array's symmetric offsets, and
-    as for the clusters' radius (`_angle_clusters`) moving theta by t moves
-    b by at most k |t| rms_m(|d_m|) / sqrt(1 - theta*^2), with theta* the
-    larger |theta| of the pair; raised by a relative 2^-20 for its rounding.
+    J b(theta_i, r) = b(-theta_i, r) for the array's symmetric offsets, which
+    lies within `_angle_move` of b(theta_j, r) for a move of |theta_i + theta_j|.
     """
     theta = np.asarray(angle_samples, dtype=np.float64)
     if not len(mirror):
         return 0.0
     i, j = theta[lead[:len(mirror)]], theta[mirror]
-    slope = cfg.wavenumber * np.sqrt(np.mean((antenna_offsets(cfg) * cfg.spacing) ** 2))
-    peak = np.maximum(np.abs(i), np.abs(j))
-    return float((slope * np.abs(i + j) / np.sqrt(1.0 - peak**2)).max() * (1.0 + 2.0**-20))
+    return float(_angle_move(cfg, np.abs(i + j), np.maximum(np.abs(i), np.abs(j))).max())
 
 
 _MAX_RADIUS = 0.5
@@ -303,18 +314,12 @@ def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int, split: int = 0)
     each part into runs of `group` samples, the last of a part may hold
     fewer.  A cluster's representative is its middle member.  At any one
     range sample every member codeword b_i lies within the radius of the
-    representative's b_rep.  With (r^(m))^2 = (d_m - r theta)^2 + r^2 (1 - theta^2),
-    |d r^(m) / d theta| = r |d_m| / r^(m) <= |d_m| / sqrt(1 - theta^2) (the
-    plane wave's |d_m| too), and |e^{ix} - 1| <= |x|, so
-
-        ||b_i - b_rep|| <= k |theta_i - theta_rep| rms_m(|d_m|) / sqrt(1 - theta*^2)
-
-    with theta* the largest |theta| in the cluster.  The radius is that bound,
-    raised by a relative 2^-20 and an absolute 2^-24: that covers its own
-    float64 rounding, the rounding of the float64 codewords' phases (their
+    representative's b_rep: `_angle_move` for the largest
+    |theta_i - theta_rep| and the largest |theta| in the cluster, raised by an
+    absolute 2^-24 for the rounding of the float64 codewords' phases (their
     entries are exact to far better than 2^-25 for phases below 2^20 rad) and
-    of the float64 sum the radius term enters.  A cluster with
-    |theta*| >= 1 has an infinite radius.
+    of the float64 sum the radius term enters.  A cluster reaching
+    |theta| >= 1 has an infinite radius.
     """
     theta = np.asarray(angle_samples, dtype=np.float64)
     starts = np.concatenate([np.arange(0, split, group), np.arange(split, len(theta), group)])
@@ -322,21 +327,19 @@ def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int, split: int = 0)
     rep = starts + sizes // 2
     spread = np.maximum.reduceat(np.abs(theta - np.repeat(theta[rep], sizes)), starts)
     peak = np.maximum.reduceat(np.abs(theta), starts)
-    slope = cfg.wavenumber * np.sqrt(np.mean((antenna_offsets(cfg) * cfg.spacing) ** 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = slope * spread / np.sqrt(1.0 - peak**2)
-    return rep, np.where(peak < 1.0, radius * (1.0 + 2.0**-20) + 2.0**-24, np.inf), sizes
+    return rep, _angle_move(cfg, spread, peak) + 2.0**-24, sizes
 
 
-def _cluster_size(cfg: ArrayConfig, angle_samples, split: int = 0) -> int:
+def _cluster_size(cfg: ArrayConfig, angle_samples, split: int = 0,
+                  most: int = SCAN_CHUNK // 2) -> int:
     """Angle samples per cluster of the phase-1 scan.
 
-    The largest power of two whose clusters (`_angle_clusters`, cut at
-    `split`) all have a radius of at most `_MAX_RADIUS`, or 1 (every
+    The largest power of two up to `most` whose clusters (`_angle_clusters`,
+    cut at `split`) all have a radius of at most `_MAX_RADIUS`, or 1 (every
     codeword its own cluster).
     """
     group = 1
-    while (2 * group <= len(angle_samples)
+    while (2 * group <= min(len(angle_samples), most)
            and _angle_clusters(cfg, angle_samples, 2 * group, split)[1].max() <= _MAX_RADIUS):
         group *= 2
     return group
@@ -364,22 +367,6 @@ def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples
     return np.abs(prod.sum(axis=1))
 
 
-def _member_chunks(first: np.ndarray, size: np.ndarray, nq: int, chunk: int):
-    """The scan chunks that clusters' members may fall in, as layers of (clusters, chunks).
-
-    Cluster i's members sit at flat indices first[i] + t nq for t < size[i];
-    it is paired with every chunk from its first member's to its last's.
-    With more than `chunk` range samples that run may hold chunks no member
-    falls in, which loosens the pass-A bound there but keeps it a bound.
-    Layer l pairs each cluster whose run holds more than l chunks with the
-    (l + 1)-th of them.  `first` increases, so within a layer the chunks do
-    not decrease.
-    """
-    lead = first // chunk
-    span = (first + (size - 1) * nq) // chunk - lead
-    return [(np.flatnonzero(span >= l), lead[span >= l] + l) for l in range(span.max() + 1)]
-
-
 def _ceil32(x: np.ndarray) -> np.ndarray:
     "The least float32 values no smaller than float64 `x`."
     y = x.astype(np.float32)
@@ -405,21 +392,25 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     are scored the same way, without the mirror.  Each row is scaled by a
     power of two and cast; every bulk score is within E
     (`_bulk_error_bound`, with the pairs' `_mirror_mismatch`) of sqrt(M)
-    times the float64 gain of the grid codeword it stands for.  The
-    folded grid (lead angles x range samples) is cut into chunks of
-    max(1, min(block, SCAN_CHUNK) // 2) codewords, whatever the ring
-    structure, so a chunk of paired angles covers min(block, SCAN_CHUNK)
-    grid codewords.  Codewords are grouped into clusters of G adjacent
-    lead angles at one range sample (`_cluster_size`), paired and unpaired
-    angles in separate clusters, each with a representative and a radius
-    rho (`_angle_clusters`): no member scores above its representative's
-    exact score plus ||v|| sqrt(M) rho, and, J being an isometry, no
-    mirror of a member above the representative's mirror's.
+    times the float64 gain of the grid codeword it stands for.
 
-    Pass A (only when G > 1) scores each representative, and its mirror if
-    it has one, once.  It keeps each row's best bulk score `top` and, per
-    row and chunk, the largest score + ||v|| sqrt(M) rho over the clusters
-    with a member in the chunk (`_member_chunks`) and over both signs,
+    Codewords are grouped into clusters of G adjacent lead angles at one
+    range sample, G a power of two of at most
+    step = max(1, min(block, SCAN_CHUNK) // 2) (`_cluster_size`), paired and
+    unpaired angles in separate clusters, each with a representative and a
+    radius rho (`_angle_clusters`): no member scores above its
+    representative's exact score plus ||v|| sqrt(M) rho, and, J being an
+    isometry, no mirror of a member above the representative's mirror's.
+    The scan walks the folded grid (lead angles x range samples) cluster by
+    cluster, ring by ring: a chunk holds step // G whole (cluster, ring)
+    sets, at most step built codewords, which cover twice as many grid
+    codewords where the angles are paired.  The sets of paired clusters
+    come first, so a chunk's mirrored codewords are a prefix of it.
+
+    Pass A (only when G > 1) scores each set's representative, and its
+    mirror if it has one, once; a job takes the sets of G chunks.  It keeps
+    each row's best bulk score `top` and, per row and chunk, the largest
+    score + ||v|| sqrt(M) rho over the chunk's sets and over both signs,
     rounded upward to float32; its jobs return both per row block and the
     main thread merges them.  In pass B a row meets a chunk only if that
     bound reaches top - 2E; a row that does not cannot reach its float64
@@ -432,7 +423,8 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     every chunk is in, those more than 2E below the final best.  A codeword
     whose float64 gain equals the row's maximum scores within E of it, and
     no bulk score exceeds it by more than E, so all of them survive.  With
-    G = 1 there is no pass A and every row meets every chunk.
+    G = 1 there is no pass A, every row meets every chunk, and the chunks
+    run through the folded grid in flat order.
 
     Pass C rescores the surviving (row, codeword) pairs in float64, in flat
     order, in steps of at most min(block, _RESCORE_PAIRS) pairs, and keeps
@@ -444,14 +436,14 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
 
     Every pass runs on up to block // min(block, SCAN_CHUNK) threads, one
     per available CPU (numpy's ufuncs and BLAS release the GIL).  A job
-    builds at most one chunk of codewords, so at most block / 2 are in
-    flight, and scores them `_ROW_BLOCK` rows at a time, so its working
-    memory is fixed: the chunk (8 M bytes per codeword) and 40 bytes per
-    codeword and row of one row block (S, A, S - A and both moduli), held
-    in tiles that the worker's next job reuses (`_Tiles`).
-    Growing with n are a folded complex64 copy of the rows (8 M bytes per
-    row), a few float64 per row, the pass-A bound (4 bytes per row and
-    chunk) and the survivors (24 bytes each).
+    builds at most step codewords (a chunk, or the representatives of G
+    chunks), so at most block / 2 are in flight, and scores them
+    `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
+    (8 M bytes per codeword) and 40 bytes per codeword and row of one row
+    block (S, A, S - A and both moduli), held in tiles that the worker's
+    next job reuses (`_Tiles`).  Growing with n are a folded complex64 copy
+    of the rows (8 M bytes per row), a few float64 per row, the pass-A
+    bound (4 bytes per row and chunk) and the survivors (24 bytes each).
     """
     vectors = np.atleast_2d(vectors)
     n, m = vectors.shape
@@ -459,10 +451,8 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     angle_samples = np.asarray(angle_samples, dtype=np.float64)
     lead, mirror = _mirror_pairs(angle_samples)
     lead_angles = angle_samples[lead]
-    n_fold, paired = len(lead) * nq, len(mirror) * nq
     chunk = min(block, SCAN_CHUNK)
     step = max(1, chunk // 2)
-    n_chunks = -(-n_fold // step)
     best = np.zeros(n)
     best_idx = np.zeros(n, dtype=np.int64)
 
@@ -481,25 +471,22 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         reach[rows] = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
     everyone = np.arange(len(live))
 
-    group = _cluster_size(cfg, lead_angles, len(mirror))
+    group = _cluster_size(cfg, lead_angles, len(mirror), step)
     rep, radius, sizes = _angle_clusters(cfg, lead_angles, group, len(mirror))
-    rep_angles = lead_angles[rep]
-    n_reps = len(rep) * nq
-    rep_mirrored = -(-len(mirror) // group) * nq     # the reps of paired clusters
+    first = rep - sizes // 2                           # each cluster's first lead position
+    per = step // group                                # (cluster, ring) sets per chunk
+    n_sets = len(rep) * nq
+    n_chunks = -(-n_sets // per)
+    paired_sets = -(-len(mirror) // group) * nq        # the sets of paired clusters
     top = np.full(len(live), -np.inf)
     bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
 
-    def pass_a(lo, tiles):
-        """Representatives lo..lo+step-1 of the (cluster, ring) grid, per row block:
-        the rows, their best bulk scores, and (chunks, bounds) pairs for `bound`."""
-        cluster, ring = np.divmod(np.arange(lo, min(lo + step, n_reps)), nq)
-        mirrored = min(max(rep_mirrored - lo, 0), len(ring))
-        first = (rep[cluster] - sizes[cluster] // 2) * nq + ring
-        layers = []
-        for pos, chunks in _member_chunks(first, sizes[cluster], nq, step):
-            cut = np.flatnonzero(np.diff(chunks, prepend=-1))
-            layers.append((pos, cut, chunks[cut]))
-        cw = _bulk_fold_codewords(cfg, rep_angles, range_samples, lo, lo + len(ring), tiles)
+    def pass_a(k, tiles):
+        """The representatives of chunks k..k+G-1, per row block: the rows, their
+        best bulk scores and their bounds for those chunks."""
+        cluster, ring = np.divmod(np.arange(k * per, min((k + group) * per, n_sets)), nq)
+        mirrored = min(max(paired_sets - k * per, 0), len(ring))
+        cw = _bulk_fold_codewords(cfg, lead_angles[rep[cluster]], range_samples[ring], tiles)
         found = []
         for rows in blocks:
             s = _bulk_scores(rows32[rows], cw, mirrored, tiles)
@@ -507,22 +494,25 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             s_top = np.maximum(s.max(axis=1), s_mirror.max(axis=1, initial=-np.inf))
             np.maximum(s[:, :mirrored], s_mirror, out=s[:, :mirrored])
             s += reach[rows, None] * radius[cluster]
-            raised = [(chunks, _ceil32(np.maximum.reduceat(s[:, pos], cut, axis=1)).T)
-                      for pos, cut, chunks in layers]
-            found.append((rows, s_top, raised))
-        return found
+            bounds = np.maximum.reduceat(s, np.arange(0, len(ring), per), axis=1)
+            found.append((rows, s_top, _ceil32(bounds).T))
+        return k, found
 
     def score(k, tiles):
         "Chunk k against the rows that meet it: their best bulk scores and survivors."
-        start, stop = k * step, min((k + 1) * step, n_fold)
         rows = np.flatnonzero(bound[k] >= floor) if group > 1 else everyone
         if not len(rows):
             return rows, np.empty(0), rows, rows, np.empty(0)
-        mirrored = min(max(paired - start, 0), stop - start)
-        angle, ring = np.divmod(np.arange(start, stop), nq)
+        cluster, ring = np.divmod(np.arange(k * per, min((k + 1) * per, n_sets)), nq)
+        # the sets' members, each set's cluster's lead positions at its ring
+        count = sizes[cluster]
+        angle = np.arange(count.sum()) + np.repeat(first[cluster] - np.cumsum(count) + count,
+                                                   count)
+        ring = np.repeat(ring, count)
+        mirrored = np.count_nonzero(angle < len(mirror))
         flat = np.concatenate([lead[angle] * nq + ring,
                                mirror[angle[:mirrored]] * nq + ring[:mirrored]])
-        cw = _bulk_fold_codewords(cfg, lead_angles, range_samples, start, stop, tiles)
+        cw = _bulk_fold_codewords(cfg, lead_angles[angle], range_samples[ring], tiles)
         tops, found = [], []
         for lo in range(0, len(rows), _ROW_BLOCK):
             part = rows[lo:lo + _ROW_BLOCK]
@@ -539,11 +529,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     spare = []                        # the jobs' tile sets, one per worker
     with thread_map(workers) as pmap:
         if group > 1:
-            for found in pmap(_tiled(pass_a, spare), range(0, n_reps, step)):
-                for rows, s_top, raised in found:
+            for k, found in pmap(_tiled(pass_a, spare), range(0, n_chunks, group)):
+                for rows, s_top, b in found:
                     np.maximum(top[rows], s_top, out=top[rows])
-                    for chunks, b in raised:
-                        bound[chunks, rows] = np.maximum(bound[chunks, rows], b)
+                    bound[k:k + len(b), rows] = b
         floor = top - margin
         final = top.copy()
         parts = [(everyone[:0], everyone[:0], np.empty(0))]

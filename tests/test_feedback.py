@@ -182,16 +182,16 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
     live = [0, 0]            # codewords under construction now, and at most
     build = feedback._bulk_fold_codewords
 
-    def counted(cfg, angle_samples, range_samples, start, stop, tiles=None):
+    def counted(cfg, theta, r, tiles=None):
         with lock:
-            live[0] += stop - start
+            live[0] += len(theta)
             live[1] = max(live)
         try:
             time.sleep(0.02)     # hold the chunk so that the workers overlap
-            return build(cfg, angle_samples, range_samples, start, stop, tiles)
+            return build(cfg, theta, r, tiles)
         finally:
             with lock:
-                live[0] -= stop - start
+                live[0] -= len(theta)
 
     monkeypatch.setattr(feedback, "_bulk_fold_codewords", counted)
     monkeypatch.setattr(feedback, "available_cpus", lambda: 8)
@@ -249,13 +249,13 @@ def test_bulk_score_error_within_bound(region, m):
     scaled = feedback._pow2_scaled(np.vstack([vecs, near_zero, spiky]))
     bound = feedback._bulk_error_bound(cfg, scaled)
     assert np.allclose(bound, _documented_bulk_error(m, scaled), rtol=1e-14, atol=0)
-    cw32 = feedback._bulk_conj_codewords(cfg, cb.angle_samples, cb.range_samples, 0, len(cb))
+    theta, r = cb.locations(np.arange(len(cb)))
+    cw32 = feedback._bulk_conj_codewords(cfg, theta, r)
     assert np.abs(cw32 - np.sqrt(m) * cb.codewords.conj()).max() <= feedback._EPS_TRIG
     # every codeword folded, scored as itself and as its mirror at -theta
-    folded = feedback._bulk_fold_codewords(cfg, cb.angle_samples, cb.range_samples, 0, len(cb))
+    folded = feedback._bulk_fold_codewords(cfg, theta, r)
     bulk = feedback._bulk_scores(feedback._fold_rows(scaled).astype(np.complex64), folded,
                                  len(cb))
-    theta, r = cb.locations(np.arange(len(cb)))
     for cw, got in ((cb.codewords, bulk[:, :len(cb)]),
                     (steering_matrix_exact(cfg, -theta, r), bulk[:, len(cb):])):
         exact = np.abs(scaled @ cw.conj().T) * np.sqrt(m)
@@ -328,6 +328,37 @@ def test_pruned_scan_matches_per_ring_scan(cfg129, region, monkeypatch, scheme):
     assert gain.tobytes() == full_gain.tobytes()
 
 
+def test_pruned_scan_with_clusters_spanning_more_rings_than_a_chunk(cfg129, region,
+                                                                    monkeypatch):
+    # 512 lead angles x 64 rings in clusters of 4 angles; block 256 makes
+    # chunks of 128 built codewords, so a chunk holds 32 of a cluster's 64
+    # (cluster, ring) sets and every chunk's bound covers its own sets only
+    cb = scheme_codebook(cfg129, region, "hyperbolic", 10, 6)
+    lead, mirror = feedback._mirror_pairs(cb.angle_samples)
+    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror)) == 4
+    rng = np.random.default_rng(2)
+    vecs = steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, 4), rng.uniform(4.0, 120.0, 4))
+    built = []
+    build = feedback._bulk_fold_codewords
+
+    def counted(cfg, theta, r, tiles=None):
+        built.append(len(theta))
+        return build(cfg, theta, r, tiles)
+
+    monkeypatch.setattr(feedback, "_bulk_fold_codewords", counted)
+    gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples, block=256)
+    # passes A and B together: 8192 representatives and at most 16 chunks of 128
+    assert sum(built) <= 10240
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+    _unpruned(monkeypatch)
+    full_gain, full_idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples,
+                                             block=256)
+    assert np.array_equal(idx, full_idx)
+    assert gain.tobytes() == full_gain.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["geometric", "dft", "hybrid"])
 def test_cluster_radius_bounds_member_distance(cfg129, region, scheme):
     cb = scheme_codebook(cfg129, region, scheme, 10, 3)
@@ -355,14 +386,14 @@ def test_scan_gate_catches_halved_radius(cfg129, monkeypatch):
     assert feedback._cluster_size(cfg129, angles) == 2
     _, ref_idx = _scan_per_ring(cfg129, v, angles, ranges)
     assert ref_idx[0] == 0
-    # block 2: each cluster is a chunk of its own, so its pruning shows
-    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=2)
+    # block 4: each cluster is a chunk of its own, so its pruning shows
+    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=4)
     assert idx[0] == 0
     clusters = feedback._angle_clusters
     monkeypatch.setattr(feedback, "_angle_clusters",
                         lambda *args: (lambda rep, radius, sizes: (rep, radius / 2, sizes))(
                             *clusters(*args)))
-    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=2)
+    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=4)
     assert idx[0] == 3
 
 
@@ -395,15 +426,17 @@ def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
 def test_scan_skips_chunks_no_row_keeps(cfg129, monkeypatch):
     # one line-of-sight row at angle index ~3600 of 6000, lead position ~600
     # of the 3000 positive angles: only chunk 1 of the six 512-codeword folded
-    # chunks (each scoring 1024 grid codewords with the mirrors) is built in full
+    # chunks (each scoring 1024 grid codewords with the mirrors), the one whose
+    # first lead angle is lead position 512, is built
     angles = np.linspace(-0.5, 0.5, 6000)
     built = []
     build = feedback._bulk_fold_codewords
 
-    def recorded(cfg, angle_samples, range_samples, start, stop, tiles=None):
-        if np.array_equal(angle_samples, angles[3000:]):
-            built.append(start)
-        return build(cfg, angle_samples, range_samples, start, stop, tiles)
+    def recorded(cfg, theta, r, tiles=None):
+        lead = np.searchsorted(angles, theta) - 3000
+        if np.all(np.diff(lead) == 1):       # a chunk's members, not pass A's representatives
+            built.append(lead[0])
+        return build(cfg, theta, r, tiles)
 
     monkeypatch.setattr(feedback, "_bulk_fold_codewords", recorded)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
@@ -989,9 +1022,9 @@ def test_scan_builds_half_of_a_symmetric_grid(cfg129, region, monkeypatch):
     built = []
     build = feedback._bulk_fold_codewords
 
-    def counted(cfg, angle_samples, range_samples, start, stop, tiles=None):
-        built.append(stop - start)
-        return build(cfg, angle_samples, range_samples, start, stop, tiles)
+    def counted(cfg, theta, r, tiles=None):
+        built.append(len(theta))
+        return build(cfg, theta, r, tiles)
 
     monkeypatch.setattr(feedback, "_bulk_fold_codewords", counted)
     cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
