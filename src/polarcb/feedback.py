@@ -11,7 +11,7 @@ import numpy as np
 from .array_model import ArrayConfig, _phase_diff_exact, antenna_offsets, steering_matrix_exact
 from .channels import ChannelArrays, ChannelRealization, channel_vectors
 from .codebooks import PolarCodebook, grid_locations
-from .parallel import available_cpus, thread_map
+from .parallel import available_cpus, single_blas, thread_map
 
 
 class ZFSingularError(RuntimeError):
@@ -152,7 +152,7 @@ def _bulk_fold_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray,
 
 
 def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
-                 tiles: _Tiles | None = None) -> np.ndarray:
+                 tiles: _Tiles | None = None, even: bool = False) -> np.ndarray:
     """Bulk scores of `_fold_rows` rows, cast to complex64, against `_bulk_fold_codewords`.
 
     Returns (rows, len(cw32) + mirrored) float64 scores: |S + A| against
@@ -162,17 +162,23 @@ def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
     rounded to complex64, and the modulus is the complex128 one of that
     exactly widened result (numpy widens it in small buffers).  The result
     is tile "scores" of `tiles`.
+
+    `even` codewords (all at theta = 0, with no mirrors) equal their own
+    antenna reversals, so their difference half is exactly 0: A is not
+    formed, and |S| is bit for bit the |S + A| it stands for.
     """
     tiles = tiles or _Tiles()
     n, r = len(cw32), len(rows32)
     half = (rows32.shape[1] + 1) // 2
     s = np.matmul(rows32[:, :half], cw32[:, :half].T, out=tiles.get("s", (r, n), np.complex64))
-    a = np.matmul(rows32[:, half:], cw32[:, half:].T, out=tiles.get("a", (r, n), np.complex64))
     out = tiles.get("scores", (r, n + mirrored), np.float64)
-    diff = np.subtract(s[:, :mirrored], a[:, :mirrored],
-                       out=tiles.get("diff", (r, mirrored), np.complex64))
-    np.abs(diff, out=out[:, n:], dtype=np.float64)
-    s += a
+    if not even:
+        a = np.matmul(rows32[:, half:], cw32[:, half:].T,
+                      out=tiles.get("a", (r, n), np.complex64))
+        diff = np.subtract(s[:, :mirrored], a[:, :mirrored],
+                           out=tiles.get("diff", (r, mirrored), np.complex64))
+        np.abs(diff, out=out[:, n:], dtype=np.float64)
+        s += a
     np.abs(s, out=out[:, :n], dtype=np.float64)
     return out
 
@@ -389,7 +395,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     of angles, the positive member of each pair first, and one product of
     a folded chunk scores each built codeword and, for paired angles, its
     mirror (`_bulk_scores`).  Unpaired angles (theta = 0, asymmetric grids)
-    are scored the same way, without the mirror.  Each row is scaled by a
+    are scored the same way, without the mirror; codewords at theta = 0
+    have a difference half of exactly 0, so a chunk of nothing else takes
+    one product in place of two.  Each row is scaled by a
     power of two and cast; every bulk score is within E
     (`_bulk_error_bound`, with the pairs' `_mirror_mismatch`) of sqrt(M)
     times the float64 gain of the grid codeword it stands for.
@@ -486,10 +494,12 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         best bulk scores and their bounds for those chunks."""
         cluster, ring = np.divmod(np.arange(k * per, min((k + group) * per, n_sets)), nq)
         mirrored = min(max(paired_sets - k * per, 0), len(ring))
-        cw = _bulk_fold_codewords(cfg, lead_angles[rep[cluster]], range_samples[ring], tiles)
+        theta = lead_angles[rep[cluster]]
+        cw = _bulk_fold_codewords(cfg, theta, range_samples[ring], tiles)
+        even = not mirrored and not theta.any()
         found = []
         for rows in blocks:
-            s = _bulk_scores(rows32[rows], cw, mirrored, tiles)
+            s = _bulk_scores(rows32[rows], cw, mirrored, tiles, even)
             s, s_mirror = s[:, :len(ring)], s[:, len(ring):]
             s_top = np.maximum(s.max(axis=1), s_mirror.max(axis=1, initial=-np.inf))
             np.maximum(s[:, :mirrored], s_mirror, out=s[:, :mirrored])
@@ -512,11 +522,13 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         mirrored = np.count_nonzero(angle < len(mirror))
         flat = np.concatenate([lead[angle] * nq + ring,
                                mirror[angle[:mirrored]] * nq + ring[:mirrored]])
-        cw = _bulk_fold_codewords(cfg, lead_angles[angle], range_samples[ring], tiles)
+        theta = lead_angles[angle]
+        cw = _bulk_fold_codewords(cfg, theta, range_samples[ring], tiles)
+        even = not mirrored and not theta.any()
         tops, found = [], []
         for lo in range(0, len(rows), _ROW_BLOCK):
             part = rows[lo:lo + _ROW_BLOCK]
-            g = _bulk_scores(rows32[part], cw, mirrored, tiles)
+            g = _bulk_scores(rows32[part], cw, mirrored, tiles, even)
             part_top = g.max(axis=1)
             # `final` is read while the main thread raises it: any value it
             # held is some bulk score of the row, so a valid floor
@@ -672,14 +684,15 @@ float64 modulus), 1.5 MiB.  A step holds at least one drop's K 2^b2 scores."""
 def _rvq_pick(g: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     """Each row's best RVQ codeword, argmax_c |sum_j codewords[c, j] g[t, k, j]|, for g (T, K, K).
 
-    One matrix product per step of `_PHASE2_SCORES` scores; ties pick the
-    lowest index.
+    One matrix product per step of `_PHASE2_SCORES` scores, on one OpenBLAS
+    thread (`single_blas`); ties pick the lowest index.
     """
     n_trials, k_users, _ = g.shape
     step = max(1, _PHASE2_SCORES // (k_users * len(codewords)))
-    return np.concatenate([
-        np.abs(g[t:t + step].reshape(-1, k_users) @ codewords.T).argmax(axis=1)
-        for t in range(0, n_trials, step)]).reshape(n_trials, k_users)
+    with single_blas():
+        return np.concatenate([
+            np.abs(g[t:t + step].reshape(-1, k_users) @ codewords.T).argmax(axis=1)
+            for t in range(0, n_trials, step)]).reshape(n_trials, k_users)
 
 
 @dataclass(frozen=True, eq=False)
@@ -809,14 +822,16 @@ def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
     `phase2_select` picks it), phase-aligned to the row and scaled to its norm.
 
     The quantized gains depend on neither the location codebook nor its bits,
-    so a run quantizes each channel once.
+    so a run quantizes each channel once.  The products run on one OpenBLAS
+    thread (`single_blas`).
     """
     cw = gain_cb.codewords
     step = max(1, _GAIN_SCORES // len(cw))
     # one matrix-vector product per row, the same BLAS call as phase2_select's
-    pick = np.concatenate([
-        (np.abs(np.matmul(cw, gains[lo:lo + step].conj()[:, :, None])[..., 0]) ** 2)
-        .argmax(axis=1) for lo in range(0, len(gains), step)])
+    with single_blas():
+        pick = np.concatenate([
+            (np.abs(np.matmul(cw, gains[lo:lo + step].conj()[:, :, None])[..., 0]) ** 2)
+            .argmax(axis=1) for lo in range(0, len(gains), step)])
     out = np.empty_like(gains, dtype=np.complex128)
     for n, (g, direction) in enumerate(zip(gains, cw[pick])):
         norm = np.linalg.norm(g)

@@ -7,8 +7,12 @@ on the number of threads.
 A pool owns the cores while it runs: numpy's OpenBLAS, which would start one
 thread per CPU for every call a worker makes, runs with its thread count
 divided among the workers, and gets its count back when the last pool joins.
-Library callers may run scans on several threads at once, so pools that
-overlap or nest share one count under a lock.
+The protocol's own small products on the calling thread (phase-2 selection,
+path-gain quantization) run in a `single_blas` section: each such call would
+wake OpenBLAS's idle threads for a product too small to share, and they then
+spin beside the scan's workers.  Library callers may run scans on several
+threads at once, so pools and sections that overlap or nest share one count
+under a lock.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ _THREAD_SYMBOLS = (
 "OpenBLAS's (get, set) thread-count functions, as plain builds and numpy's wheels name them."
 
 _blas_lock = threading.Lock()
-_blas_pools = 0
+_blas_sections = 0
 _blas_prior = 0
 
 
@@ -73,33 +77,43 @@ def _openblas():
 
 
 @contextmanager
-def _blas_shared(workers: int):
-    """OpenBLAS runs with max(1, prior // workers) threads per call inside the block.
+def _blas_shared(threads):
+    """OpenBLAS runs with max(1, threads(prior)) threads per call inside the block.
 
-    `prior` is OpenBLAS's count when the first of the open pools opened; a
-    pool never raises the count, and the last pool to close restores it.
+    `prior` is OpenBLAS's count when the first of the open sections opened; a
+    section never raises the count, and the last one to close restores it.
     Without a known OpenBLAS the block runs as it is.
     """
-    global _blas_pools, _blas_prior
+    global _blas_sections, _blas_prior
     blas = _openblas()
     if blas is None:
         yield
         return
     get, set_ = blas
     with _blas_lock:
-        if _blas_pools == 0:
+        if _blas_sections == 0:
             _blas_prior = get()
-        _blas_pools += 1
-        cap = max(1, _blas_prior // workers)
+        _blas_sections += 1
+        cap = max(1, threads(_blas_prior))
         if cap < get():
             set_(cap)
     try:
         yield
     finally:
         with _blas_lock:
-            _blas_pools -= 1
-            if _blas_pools == 0:
+            _blas_sections -= 1
+            if _blas_sections == 0:
                 set_(_blas_prior)
+
+
+def single_blas():
+    """A section in which OpenBLAS runs one thread per call (see `_blas_shared`).
+
+    For products on the calling thread far too small to gain from BLAS
+    threads, which would otherwise wake OpenBLAS's idle threads to spin
+    beside the work of other threads.
+    """
+    return _blas_shared(lambda prior: 1)
 
 
 @contextmanager
@@ -113,5 +127,6 @@ def thread_map(workers: int):
     if workers <= 1:
         yield map
         return
-    with _blas_shared(workers), ThreadPoolExecutor(max_workers=workers) as pool:
+    with _blas_shared(lambda prior: prior // workers), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool.map

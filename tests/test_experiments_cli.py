@@ -330,10 +330,13 @@ def _cli_process(args, tmp_path, blas_threads=None, timeout=300):
     ("simulate", "experiment = gain_vs_q\nnum_antennas = 129\ndistribution = gmm\n"
                  "gmm_components = 0.5:15:5;0.5:60:20\np = 8\nsweep = 1,2,3,4\n"
                  "schemes = geometric,hyperbolic,uniform\nn_trials = 300\nseed = 0\n"),
-], ids=["allocate", "gain_vs_q_gmm"])
+    ("simulate", "experiment = rate_vs_snr\nnum_antennas = 129\np = 8\nq = 2\nb2 = 10\n"
+                 "k_users = 4\nn_trials = 60\nschemes = geometric,dft,full_csi\nseed = 0\n"),
+], ids=["allocate", "gain_vs_q_gmm", "rate_vs_snr"])
 def test_csv_bytes_independent_of_blas_threads(tmp_path, command, text):
-    # both configs wrote different last digits under 1 and 2 OpenBLAS threads
-    # while phase-1 gains came from a BLAS product
+    # allocate and gain_vs_q wrote different last digits under 1 and 2
+    # OpenBLAS threads while phase-1 gains came from a BLAS product;
+    # rate_vs_snr still selects and beamforms with BLAS and LAPACK calls
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     outputs = []

@@ -359,6 +359,37 @@ def test_pruned_scan_with_clusters_spanning_more_rings_than_a_chunk(cfg129, regi
     assert gain.tobytes() == full_gain.tobytes()
 
 
+def test_scan_of_theta_zero_takes_one_product_per_row_block(cfg129, region, monkeypatch):
+    # theta = 0 is its own mirror: its folded codewords' difference half is
+    # exactly 0, so every chunk of the grid skips the product with it.  200
+    # rows over 1500 rings: three chunks of two row blocks each
+    angles, ranges = np.array([0.0]), np.geomspace(4.0, 120.0, 1500)
+    vecs = _scan_vectors(cfg129, region, 50)
+    calls, products = [], []
+    scores, matmul = feedback._bulk_scores, np.matmul
+
+    def counted(rows32, cw32, mirrored, tiles=None, even=False):
+        calls.append(even)
+        return scores(rows32, cw32, mirrored, tiles, even)
+
+    monkeypatch.setattr(feedback, "_bulk_scores", counted)
+    monkeypatch.setattr(np, "matmul", lambda *args, **kw: products.append(1) or matmul(*args, **kw))
+    gain, idx = best_codeword_scan(cfg129, vecs, angles, ranges)
+    assert calls == [True] * 6 and len(products) == 6
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, ranges)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
+    # both products, as for any other unpaired angle: the same bytes
+    monkeypatch.setattr(feedback, "_bulk_scores",
+                        lambda rows32, cw32, mirrored, tiles=None, even=False:
+                        scores(rows32, cw32, mirrored, tiles))
+    products.clear()
+    two_gain, two_idx = best_codeword_scan(cfg129, vecs, angles, ranges)
+    assert len(products) == 12
+    assert np.array_equal(idx, two_idx)
+    assert gain.tobytes() == two_gain.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["geometric", "dft", "hybrid"])
 def test_cluster_radius_bounds_member_distance(cfg129, region, scheme):
     cb = scheme_codebook(cfg129, region, scheme, 10, 3)
@@ -412,10 +443,10 @@ def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
     e = _documented_bulk_error(129, feedback._pow2_scaled(h[None]))
     scores = feedback._bulk_scores
 
-    def skewed(rows32, cw32, mirrored, tiles=None):
+    def skewed(rows32, cw32, mirrored, tiles=None, even=False):
         assert mirrored == 0
         sign = np.where(np.arange(len(cw32)) < len(cw32) / 2, -0.9, 0.9)
-        return scores(rows32, cw32, mirrored, tiles) + e[:, None] * sign
+        return scores(rows32, cw32, mirrored, tiles, even) + e[:, None] * sign
 
     monkeypatch.setattr(feedback, "_bulk_scores", skewed)
     gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=4)

@@ -1,12 +1,15 @@
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import polarcb.feedback as feedback
-from polarcb import PolarCoord, parallel
+from polarcb import PolarCoord, PolarRegion, parallel, rvq_generate, scheme_codebook
+from polarcb.array_model import steering_matrix_exact
 from polarcb.channels import los_channel
-from polarcb.feedback import best_codeword_scan
+from polarcb.feedback import (RVQCodebook, best_codeword_scan, quantize_path_gains,
+                              run_protocol_batch)
 
 BLAS = parallel._openblas()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread control found")
@@ -96,6 +99,76 @@ def test_scan_workers_run_single_threaded_blas(cfg129, monkeypatch, blas_count):
     assert blas_count() == 4
 
 
+@needs_openblas
+def test_single_blas_sections_and_pools_never_raise_the_count(blas_count):
+    with parallel.single_blas():
+        assert blas_count() == 1
+        with parallel.thread_map(2) as pmap:
+            assert set(pmap(lambda _: blas_count(), range(4))) == {1}
+        with parallel.single_blas():
+            assert blas_count() == 1
+        assert blas_count() == 1
+    assert blas_count() == 4
+
+    def section(_):
+        with parallel.single_blas():
+            return blas_count()
+
+    with parallel.thread_map(2) as pmap:
+        assert set(pmap(section, range(4))) == {1}
+        assert blas_count() == 1
+    assert blas_count() == 4
+    with pytest.raises(ZeroDivisionError):
+        with parallel.single_blas():
+            1 / 0
+    assert blas_count() == 4
+
+
+def _recording(cb: RVQCodebook, count, fail: bool):
+    """`cb` with codewords that record `count()` at each matmul they enter, then
+    raise there if `fail`; and the list of counts."""
+    seen = []
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                seen.append(count())
+                if fail:
+                    raise FloatingPointError("product failed")
+            inputs = [x.view(np.ndarray) if isinstance(x, Recording) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return RVQCodebook(cb.codewords.view(Recording), cb.mode, cb.seed), seen
+
+
+@needs_openblas
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
+def test_phase2_and_path_gain_products_run_on_one_blas_thread(cfg129, blas_count, fail):
+    # the protocol's own products are far too small to share; at OpenBLAS's
+    # full count each would wake its idle threads beside the scan's workers
+    cb1 = scheme_codebook(cfg129, PolarRegion(-0.5, 0.5, 4.0, 120.0), "geometric", 4, 2)
+    rng = np.random.default_rng(3)
+    vectors = steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, (3, 4)),
+                                    rng.uniform(4.0, 120.0, (3, 4)))
+    gains = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    cb2, phase2 = _recording(rvq_generate(4, 6, seed=1), blas_count, fail)
+    gain_cb, path = _recording(rvq_generate(3, 5, seed=2), blas_count, fail)
+    raises = pytest.raises(FloatingPointError) if fail else nullcontext()
+    with raises:
+        batch = run_protocol_batch(cfg129, vectors, cb1, cb2)
+    assert blas_count() == 4
+    with raises:
+        quantized = quantize_path_gains(gains, gain_cb)
+    assert blas_count() == 4
+    assert phase2 and set(phase2) == {1}
+    assert path and set(path) == {1}
+    if not fail:
+        plain = run_protocol_batch(cfg129, vectors, cb1, rvq_generate(4, 6, seed=1))
+        assert batch.ghat.tobytes() == plain.ghat.tobytes()
+        plain = quantize_path_gains(gains, rvq_generate(3, 5, seed=2))
+        assert quantized.tobytes() == plain.tobytes()
+
+
 def test_pool_without_openblas_runs_unchanged(monkeypatch, recorded_pools):
     monkeypatch.setattr(parallel, "_openblas", lambda: None)
     before = BLAS[0]() if BLAS else None
@@ -103,3 +176,5 @@ def test_pool_without_openblas_runs_unchanged(monkeypatch, recorded_pools):
         inside = list(pmap(lambda x: (x * x, BLAS[0]() if BLAS else None), range(5)))
     assert inside == [(x * x, before) for x in range(5)]
     assert recorded_pools == [2]
+    with parallel.single_blas():
+        assert (BLAS[0]() if BLAS else None) == before
