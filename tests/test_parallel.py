@@ -1,3 +1,4 @@
+import sys
 import threading
 from contextlib import nullcontext
 
@@ -121,6 +122,45 @@ def test_single_blas_sections_and_pools_never_raise_the_count(blas_count):
     with pytest.raises(ZeroDivisionError):
         with parallel.single_blas():
             1 / 0
+    assert blas_count() == 4
+
+
+@needs_openblas
+def test_sections_and_pools_on_many_threads_restore_the_count(blas_count):
+    # 8 threads on 2 CPUs open one-thread sections while 2 more open pools
+    # of 2; a lost update of the shared section count leaves the count low
+    seen = {"section": set(), "pool": set()}
+    lock = threading.Lock()
+
+    def sections():
+        counts = set()
+        for _ in range(3000):
+            with parallel.single_blas():
+                counts.add(blas_count())
+        with lock:
+            seen["section"] |= counts
+
+    def pools():
+        counts = set()
+        for _ in range(20):
+            with parallel.thread_map(2) as pmap:
+                counts |= set(pmap(lambda _: blas_count(), range(2)))
+        with lock:
+            seen["pool"] |= counts
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=job) for job in [sections] * 8 + [pools] * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen["section"] == {1}
+    assert seen["pool"] <= {1, 2}
     assert blas_count() == 4
 
 
