@@ -152,7 +152,7 @@ def _bulk_fold_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray,
 
 
 def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
-                 tiles: _Tiles | None = None, even: bool = False) -> np.ndarray:
+                 tiles: _Tiles | None = None) -> np.ndarray:
     """Bulk scores of `_fold_rows` rows, cast to complex64, against `_bulk_fold_codewords`.
 
     Returns (rows, len(cw32) + mirrored) float64 scores: |S + A| against
@@ -163,16 +163,17 @@ def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
     exactly widened result (numpy widens it in small buffers).  The result
     is tile "scores" of `tiles`.
 
-    `even` codewords (all at theta = 0, with no mirrors) equal their own
-    antenna reversals, so their difference half is exactly 0: A is not
-    formed, and |S| is bit for bit the |S + A| it stands for.
+    Codewords at theta = 0 equal their own antenna reversals, so their
+    difference half is exactly 0.  A chunk without mirrors whose difference
+    half is all zero skips the A product: |S| is bit for bit the |S + A|
+    it stands for.
     """
     tiles = tiles or _Tiles()
     n, r = len(cw32), len(rows32)
     half = (rows32.shape[1] + 1) // 2
     s = np.matmul(rows32[:, :half], cw32[:, :half].T, out=tiles.get("s", (r, n), np.complex64))
     out = tiles.get("scores", (r, n + mirrored), np.float64)
-    if not even:
+    if mirrored or cw32[:, half:].any():
         a = np.matmul(rows32[:, half:], cw32[:, half:].T,
                       out=tiles.get("a", (r, n), np.complex64))
         diff = np.subtract(s[:, :mirrored], a[:, :mirrored],
@@ -494,12 +495,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         best bulk scores and their bounds for those chunks."""
         cluster, ring = np.divmod(np.arange(k * per, min((k + group) * per, n_sets)), nq)
         mirrored = min(max(paired_sets - k * per, 0), len(ring))
-        theta = lead_angles[rep[cluster]]
-        cw = _bulk_fold_codewords(cfg, theta, range_samples[ring], tiles)
-        even = not mirrored and not theta.any()
+        cw = _bulk_fold_codewords(cfg, lead_angles[rep[cluster]], range_samples[ring], tiles)
         found = []
         for rows in blocks:
-            s = _bulk_scores(rows32[rows], cw, mirrored, tiles, even)
+            s = _bulk_scores(rows32[rows], cw, mirrored, tiles)
             s, s_mirror = s[:, :len(ring)], s[:, len(ring):]
             s_top = np.maximum(s.max(axis=1), s_mirror.max(axis=1, initial=-np.inf))
             np.maximum(s[:, :mirrored], s_mirror, out=s[:, :mirrored])
@@ -522,13 +521,11 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         mirrored = np.count_nonzero(angle < len(mirror))
         flat = np.concatenate([lead[angle] * nq + ring,
                                mirror[angle[:mirrored]] * nq + ring[:mirrored]])
-        theta = lead_angles[angle]
-        cw = _bulk_fold_codewords(cfg, theta, range_samples[ring], tiles)
-        even = not mirrored and not theta.any()
+        cw = _bulk_fold_codewords(cfg, lead_angles[angle], range_samples[ring], tiles)
         tops, found = [], []
         for lo in range(0, len(rows), _ROW_BLOCK):
             part = rows[lo:lo + _ROW_BLOCK]
-            g = _bulk_scores(rows32[part], cw, mirrored, tiles, even)
+            g = _bulk_scores(rows32[part], cw, mirrored, tiles)
             part_top = g.max(axis=1)
             # `final` is read while the main thread raises it: any value it
             # held is some bulk score of the row, so a valid floor
@@ -822,16 +819,14 @@ def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
     `phase2_select` picks it), phase-aligned to the row and scaled to its norm.
 
     The quantized gains depend on neither the location codebook nor its bits,
-    so a run quantizes each channel once.  The products run on one OpenBLAS
-    thread (`single_blas`).
+    so a run quantizes each channel once.
     """
     cw = gain_cb.codewords
     step = max(1, _GAIN_SCORES // len(cw))
     # one matrix-vector product per row, the same BLAS call as phase2_select's
-    with single_blas():
-        pick = np.concatenate([
-            (np.abs(np.matmul(cw, gains[lo:lo + step].conj()[:, :, None])[..., 0]) ** 2)
-            .argmax(axis=1) for lo in range(0, len(gains), step)])
+    pick = np.concatenate([
+        (np.abs(np.matmul(cw, gains[lo:lo + step].conj()[:, :, None])[..., 0]) ** 2)
+        .argmax(axis=1) for lo in range(0, len(gains), step)])
     out = np.empty_like(gains, dtype=np.complex128)
     for n, (g, direction) in enumerate(zip(gains, cw[pick])):
         norm = np.linalg.norm(g)

@@ -7,10 +7,9 @@ on the number of threads.
 A pool owns the cores while it runs: numpy's OpenBLAS, which would start one
 thread per CPU for every call a worker makes, runs with its thread count
 divided among the workers, and gets its count back when the last pool joins.
-The protocol's own small products on the calling thread (phase-2 selection,
-path-gain quantization) run in a `single_blas` section: each such call would
-wake OpenBLAS's idle threads for a product too small to share, and they then
-spin beside the scan's workers.  Library callers may run scans on several
+Phase-2 selection's small products on the calling thread run in a
+`single_blas` section: each such call would wake OpenBLAS's idle threads for
+a product too small to share, and they then spin beside the scan's workers.  Library callers may run scans on several
 threads at once, so pools and sections that overlap or nest share one count
 under a lock.
 """

@@ -368,26 +368,25 @@ def test_scan_of_theta_zero_takes_one_product_per_row_block(cfg129, region, monk
     calls, products = [], []
     scores, matmul = feedback._bulk_scores, np.matmul
 
-    def counted(rows32, cw32, mirrored, tiles=None, even=False):
-        calls.append(even)
-        return scores(rows32, cw32, mirrored, tiles, even)
+    def counted(rows32, cw32, mirrored, tiles=None):
+        calls.append(mirrored)
+        return scores(rows32, cw32, mirrored, tiles)
 
     monkeypatch.setattr(feedback, "_bulk_scores", counted)
     monkeypatch.setattr(np, "matmul", lambda *args, **kw: products.append(1) or matmul(*args, **kw))
     gain, idx = best_codeword_scan(cfg129, vecs, angles, ranges)
-    assert calls == [True] * 6 and len(products) == 6
+    assert calls == [0] * 6 and len(products) == 6
     ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, ranges)
     assert np.array_equal(idx, ref_idx)
     assert np.abs(gain - ref_gain).max() <= 1e-12
-    # both products, as for any other unpaired angle: the same bytes
-    monkeypatch.setattr(feedback, "_bulk_scores",
-                        lambda rows32, cw32, mirrored, tiles=None, even=False:
-                        scores(rows32, cw32, mirrored, tiles))
-    products.clear()
-    two_gain, two_idx = best_codeword_scan(cfg129, vecs, angles, ranges)
-    assert len(products) == 12
-    assert np.array_equal(idx, two_idx)
-    assert gain.tobytes() == two_gain.tobytes()
+    # |S| is the same bytes as |S + A| from both products
+    monkeypatch.undo()
+    half = (cfg129.num_antennas + 1) // 2
+    cw32 = feedback._bulk_fold_codewords(cfg129, np.zeros(len(ranges)), ranges)
+    rows32 = feedback._fold_rows(feedback._pow2_scaled(vecs)).astype(np.complex64)
+    assert not cw32[:, half:].any()
+    both = (rows32[:, :half] @ cw32[:, :half].T) + (rows32[:, half:] @ cw32[:, half:].T)
+    assert scores(rows32, cw32, 0).tobytes() == np.abs(both, dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["geometric", "dft", "hybrid"])
@@ -443,10 +442,10 @@ def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
     e = _documented_bulk_error(129, feedback._pow2_scaled(h[None]))
     scores = feedback._bulk_scores
 
-    def skewed(rows32, cw32, mirrored, tiles=None, even=False):
+    def skewed(rows32, cw32, mirrored, tiles=None):
         assert mirrored == 0
         sign = np.where(np.arange(len(cw32)) < len(cw32) / 2, -0.9, 0.9)
-        return scores(rows32, cw32, mirrored, tiles, even) + e[:, None] * sign
+        return scores(rows32, cw32, mirrored, tiles) + e[:, None] * sign
 
     monkeypatch.setattr(feedback, "_bulk_scores", skewed)
     gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=4)

@@ -9,8 +9,7 @@ import polarcb.feedback as feedback
 from polarcb import PolarCoord, PolarRegion, parallel, rvq_generate, scheme_codebook
 from polarcb.array_model import steering_matrix_exact
 from polarcb.channels import los_channel
-from polarcb.feedback import (RVQCodebook, best_codeword_scan, quantize_path_gains,
-                              run_protocol_batch)
+from polarcb.feedback import RVQCodebook, best_codeword_scan, run_protocol_batch
 
 BLAS = parallel._openblas()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread control found")
@@ -183,30 +182,21 @@ def _recording(cb: RVQCodebook, count, fail: bool):
 
 @needs_openblas
 @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
-def test_phase2_and_path_gain_products_run_on_one_blas_thread(cfg129, blas_count, fail):
-    # the protocol's own products are far too small to share; at OpenBLAS's
-    # full count each would wake its idle threads beside the scan's workers
+def test_phase2_products_run_on_one_blas_thread(cfg129, blas_count, fail):
+    # phase 2's products are far too small to share; at OpenBLAS's full
+    # count each would wake its idle threads beside the scan's workers
     cb1 = scheme_codebook(cfg129, PolarRegion(-0.5, 0.5, 4.0, 120.0), "geometric", 4, 2)
     rng = np.random.default_rng(3)
     vectors = steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, (3, 4)),
                                     rng.uniform(4.0, 120.0, (3, 4)))
-    gains = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     cb2, phase2 = _recording(rvq_generate(4, 6, seed=1), blas_count, fail)
-    gain_cb, path = _recording(rvq_generate(3, 5, seed=2), blas_count, fail)
-    raises = pytest.raises(FloatingPointError) if fail else nullcontext()
-    with raises:
+    with pytest.raises(FloatingPointError) if fail else nullcontext():
         batch = run_protocol_batch(cfg129, vectors, cb1, cb2)
     assert blas_count() == 4
-    with raises:
-        quantized = quantize_path_gains(gains, gain_cb)
-    assert blas_count() == 4
     assert phase2 and set(phase2) == {1}
-    assert path and set(path) == {1}
     if not fail:
         plain = run_protocol_batch(cfg129, vectors, cb1, rvq_generate(4, 6, seed=1))
         assert batch.ghat.tobytes() == plain.ghat.tobytes()
-        plain = quantize_path_gains(gains, rvq_generate(3, 5, seed=2))
-        assert quantized.tobytes() == plain.tobytes()
 
 
 def test_pool_without_openblas_runs_unchanged(monkeypatch, recorded_pools):
