@@ -199,6 +199,9 @@ def validate_config(c: ExperimentConfig) -> None:
     bad = [s for s in c.schemes if s not in valid]
     if bad:
         raise ConfigError(f"unknown schemes: {bad}")
+    if not c.schemes or len(set(c.schemes)) != len(c.schemes):
+        raise ConfigError(f"schemes must name at least one scheme, each once; "
+                          f"got {list(c.schemes)}")
     if c.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme '{c.scheme}'")
     if c.sweep and list(c.sweep) != sorted(set(c.sweep)):

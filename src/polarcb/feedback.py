@@ -185,9 +185,15 @@ def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
 
 
 def _pow2_scaled(vectors: np.ndarray) -> np.ndarray:
-    "Rows scaled by powers of two (exactly) so that their largest entry modulus lies in [1/2, 1)."
-    peak = np.abs(vectors).max(axis=1)
-    return vectors * np.ldexp(1.0, -np.frexp(peak)[1])[:, None]
+    """Rows scaled by powers of two (exactly) so that their largest entry modulus lies in [1/2, 1).
+
+    The shift goes to `np.ldexp` and not through a factor 2^shift, which
+    overflows for rows of subnormal entries (shifts above 1023).
+    """
+    shift = -np.frexp(np.abs(vectors).max(axis=1))[1][:, None]
+    out = np.ldexp(vectors.real, shift).astype(np.complex128)
+    out.imag = np.ldexp(vectors.imag, shift)
+    return out
 
 
 def _bulk_error_bound(cfg: ArrayConfig, rows: np.ndarray, mismatch: float = 0.0) -> np.ndarray:
@@ -424,9 +430,16 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     main thread merges them.  In pass B a row meets a chunk only if that
     bound reaches top - 2E; a row that does not cannot reach its float64
     maximum in the chunk.  The chunk builds its codewords only if some row
-    meets it, scores them and their mirrors against those rows, and keeps,
-    per row, each score within 2E of the best of the chunk's and the row's
-    best bulk score merged so far (`top` and the chunks already in).  The
+    meets it.  Where G >= 4 it then checks those rows at a second level: the
+    runs of G / 2 lead angles (`_angle_clusters` again) nest in the clusters,
+    each with its middle member and a radius rho' of its own; the chunk
+    gathers those members from its built codewords and scores them, and
+    their mirrors, against the rows that met it, and a row goes on only if
+    some score + ||v|| sqrt(M) rho' reaches top - 2E.  It scores the chunk's
+    codewords and their mirrors against the rows that go on, and keeps, per
+    row, each score within 2E of the best of the chunk's and the row's
+    best bulk score merged so far (`top` and the chunks already in); only
+    rows whose chunk maximum is among those are searched for them.  The
     main thread takes the chunks in order and drops, as each arrives, its
     codewords more than 2E below the row's best bulk score so far, and once
     every chunk is in, those more than 2E below the final best.  A codeword
@@ -448,9 +461,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     builds at most step codewords (a chunk, or the representatives of G
     chunks), so at most block / 2 are in flight, and scores them
     `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
-    (8 M bytes per codeword) and 40 bytes per codeword and row of one row
-    block (S, A, S - A and both moduli), held in tiles that the worker's
-    next job reuses (`_Tiles`).  Growing with n are a folded complex64 copy
+    (8 M bytes per codeword), the tile of its half-cluster representatives
+    (8 M bytes each, 2 step / G of them) and 40 bytes per codeword and row
+    of one row block (S, A, S - A and both moduli), held in tiles that the
+    worker's next job reuses (`_Tiles`).  Growing with n are a folded complex64 copy
     of the rows (8 M bytes per row), a few float64 per row, the pass-A
     bound (4 bytes per row and chunk) and the survivors (24 bytes each).
     """
@@ -482,6 +496,8 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
 
     group = _cluster_size(cfg, lead_angles, len(mirror), step)
     rep, radius, sizes = _angle_clusters(cfg, lead_angles, group, len(mirror))
+    if group >= 4:
+        sub_rep, sub_radius, _ = _angle_clusters(cfg, lead_angles, group // 2, len(mirror))
     first = rep - sizes // 2                           # each cluster's first lead position
     per = step // group                                # (cluster, ring) sets per chunk
     n_sets = len(rep) * nq
@@ -507,6 +523,25 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             found.append((rows, s_top, _ceil32(bounds).T))
         return k, found
 
+    def sub_check(rows, cw, angle, mirrored, tiles):
+        """The rows that meet chunk `cw` at level 2: some half-cluster's representative
+        (and its mirror), picked from the built chunk, scores within its radius of `floor`."""
+        where = np.minimum(np.searchsorted(sub_rep, angle), len(sub_rep) - 1)
+        pick = np.flatnonzero(sub_rep[where] == angle)
+        subs = np.take(cw, pick, axis=0, mode="clip",
+                       out=tiles.get("subs", (len(pick), m), np.complex64))
+        n_sub, sub_mirrored = len(pick), np.count_nonzero(pick < mirrored)
+        radii = sub_radius[where[pick]]
+        met = []
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            part = rows[lo:lo + _ROW_BLOCK]
+            s = _bulk_scores(rows32[part], subs, sub_mirrored, tiles)
+            np.maximum(s[:, :sub_mirrored], s[:, n_sub:], out=s[:, :sub_mirrored])
+            s = s[:, :n_sub]
+            s += reach[part, None] * radii
+            met.append(part[s.max(axis=1) >= floor[part]])
+        return np.concatenate(met)
+
     def score(k, tiles):
         "Chunk k against the rows that meet it: their best bulk scores and survivors."
         rows = np.flatnonzero(bound[k] >= floor) if group > 1 else everyone
@@ -522,14 +557,22 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         flat = np.concatenate([lead[angle] * nq + ring,
                                mirror[angle[:mirrored]] * nq + ring[:mirrored]])
         cw = _bulk_fold_codewords(cfg, lead_angles[angle], range_samples[ring], tiles)
-        tops, found = [], []
+        if group >= 4:
+            rows = sub_check(rows, cw, angle, mirrored, tiles)
+        tops, found = [np.empty(0)], [(rows[:0], rows[:0], np.empty(0))]
         for lo in range(0, len(rows), _ROW_BLOCK):
             part = rows[lo:lo + _ROW_BLOCK]
             g = _bulk_scores(rows32[part], cw, mirrored, tiles)
             part_top = g.max(axis=1)
             # `final` is read while the main thread raises it: any value it
             # held is some bulk score of the row, so a valid floor
-            row, col = np.nonzero(g >= (np.maximum(part_top, final[part]) - margin[part])[:, None])
+            least = np.maximum(part_top, final[part]) - margin[part]
+            # only rows whose chunk maximum reaches their floor keep a score;
+            # they alone are searched, copied out when they are few
+            hit = np.flatnonzero(part_top >= least)
+            if 2 * len(hit) < len(part):
+                g, least, part = g[hit], least[hit], part[hit]
+            row, col = np.divmod(np.flatnonzero(g >= least[:, None]), g.shape[1])
             tops.append(part_top)
             found.append((part[row], flat[col], g[row, col]))
         return (rows, np.concatenate(tops), *map(np.concatenate, zip(*found)))

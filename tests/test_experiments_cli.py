@@ -422,6 +422,11 @@ _TINY = "num_antennas = 65\np = 4\nn_trials = 4\nn_mc = 4\nschemes = geometric\n
     ("simulate", "experiment = gain_vs_m\nsweep = 0\n", ">= 1"),
     ("simulate", "schemes = hybrid\nq = 0\n", "hybrid"),
     ("simulate", "experiment = gain_vs_q\nschemes = geometric,hybrid\nsweep = 0,1\n", "hybrid"),
+    # these wrote a header-only CSV, and two copies of every geometric row
+    ("simulate", "schemes =\n", "each once"),
+    ("simulate", "schemes = geometric,geometric\n", "each once"),
+    ("simulate", "experiment = gain_vs_q\nschemes = dft,geometric,dft\nsweep = 2\n",
+     "each once"),
     ("codebook", "scheme = foo\n", "unknown scheme"),
     ("codebook", "scheme = hybrid\nq = 0\n", "hybrid"),
     ("allocate", "b1 = 0\n", "b1"),

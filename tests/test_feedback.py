@@ -3,9 +3,12 @@ import threading
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polarcb.feedback as feedback
 import polarcb.parallel
@@ -16,7 +19,7 @@ from polarcb import (ArrayConfig, PolarCoord, PolarRegion, ZFSingularError, los_
                      scheme_codebook, steering_vector_exact, user_rate, zf_beamformer, zf_rates)
 from polarcb.array_model import steering_matrix_exact
 from polarcb.channels import ChannelArrays, ChannelRealization
-from polarcb.codebooks import PolarCodebook
+from polarcb.codebooks import PolarCodebook, grid_locations
 from polarcb.feedback import (best_codeword_scan, multipath_feedback_batch, nearest_index,
                               quantize_path_gains)
 
@@ -307,6 +310,18 @@ def test_scan_zero_row(cfg129, small_cb):
     assert idx[1] == ref_idx[0] and gain[1] == pytest.approx(ref_gain[0], abs=1e-12)
 
 
+def test_scan_of_subnormal_rows(cfg129, small_cb):
+    # rows whose entries are all subnormal: their power-of-two scaling (by more
+    # than 2^1023) once overflowed, and they came out as gain 0 at index 0
+    h = los_channel(cfg129, PolarCoord(0.2, 25.0)).vector
+    vecs = np.vstack([1e-310 * h, 3e-310j * los_channel(cfg129, PolarCoord(-0.1, 60.0)).vector])
+    gain, idx = best_codeword_scan(cfg129, vecs, small_cb.angle_samples, small_cb.range_samples)
+    ref_gain, ref_idx = _exhaustive_scan(cfg129, vecs, small_cb.angle_samples,
+                                         small_cb.range_samples)
+    assert np.array_equal(idx, ref_idx) and (gain > 0).all()
+    assert gain.tobytes() == ref_gain.tobytes()
+
+
 def _unpruned(monkeypatch):
     "Run the scan with one codeword per cluster: no pass A, every row meets every chunk."
     monkeypatch.setattr(feedback, "_cluster_size", lambda *args: 1)
@@ -425,6 +440,71 @@ def test_scan_gate_catches_halved_radius(cfg129, monkeypatch):
                             *clusters(*args)))
     _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=4)
     assert idx[0] == 3
+
+
+def _sub_edge_row(cfg):
+    """Four islands of 8 angles, 20 / M apart, at 30 m: in each a first angle 0.4 / M
+    before seven 0.01 / M apart.  With block 16 the clusters are the islands
+    (G = 8) and the half-clusters their halves, with representatives 2 and 6
+    lead positions in.  The row's best codeword, angle 0, is nearly orthogonal
+    to its half-cluster's representative, angle 2; a weaker codeword in the
+    next island sets its best representative score."""
+    m = cfg.num_antennas
+    gaps = np.full(32, 0.01 / m)
+    gaps[1::8], gaps[::8] = 0.4 / m, 20.0 / m
+    angles, ranges = 0.1 + np.cumsum(gaps) - gaps[0], np.array([30.0])
+    b = steering_matrix_exact(cfg, angles, np.full(32, 30.0))
+    v = b[0] - np.vdot(b[2], b[0]) * b[2]
+    return angles, ranges, v + 0.7 * np.vdot(v, b[0]).real * b[11]
+
+
+def test_scan_gate_catches_halved_sub_radius(cfg129, monkeypatch):
+    angles, ranges, v = _sub_edge_row(cfg129)
+    assert feedback._cluster_size(cfg129, angles, 0, 8) == 8
+    _, ref_idx = _scan_per_ring(cfg129, v, angles, ranges)
+    assert ref_idx[0] == 0
+    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=16)
+    assert idx[0] == 0
+    # the half-clusters' radius alone halved: the row no longer meets its chunk
+    clusters = feedback._angle_clusters
+    monkeypatch.setattr(feedback, "_angle_clusters", lambda cfg, theta, group, split=0: (
+        lambda rep, radius, sizes: (rep, radius / 2 if group == 4 else radius, sizes))(
+            *clusters(cfg, theta, group, split)))
+    _, idx = best_codeword_scan(cfg129, v, angles, ranges, block=16)
+    assert idx[0] == 8
+
+
+@pytest.mark.parametrize("scheme", ["hyperbolic", "hybrid"])
+def test_level2_scores_fewer_rows_in_full_than_meet_the_chunks(cfg129, region, monkeypatch,
+                                                              scheme):
+    # p = 10, q = 3: clusters of 4 angles, so a chunk that some row meets first
+    # scores its half-clusters' representatives, picked from the chunk it built,
+    # against those rows; only the rows that go on score the whole chunk
+    cb = scheme_codebook(cfg129, region, scheme, 10, 3)
+    lead, mirror = feedback._mirror_pairs(cb.angle_samples)
+    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror)) >= 4
+    built, rows = [], {"met": 0, "full": 0}
+    build, scores = feedback._bulk_fold_codewords, feedback._bulk_scores
+
+    def recorded_build(cfg, theta, r, tiles=None):
+        built.append(build(cfg, theta, r, tiles))
+        return built[-1]
+
+    def recorded_scores(rows32, cw32, mirrored, tiles=None):
+        if not any(cw32 is cw for cw in built):     # a tile of half-cluster representatives
+            rows["met"] += len(rows32)
+        elif rows["met"]:                           # after pass A: a whole chunk
+            rows["full"] += len(rows32)
+        return scores(rows32, cw32, mirrored, tiles)
+
+    monkeypatch.setattr(feedback, "_bulk_fold_codewords", recorded_build)
+    monkeypatch.setattr(feedback, "_bulk_scores", recorded_scores)
+    vecs = _scan_vectors(cfg129, region, 12)
+    gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert 0 < rows["full"] < rows["met"]
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert np.array_equal(idx, ref_idx)
+    assert np.abs(gain - ref_gain).max() <= 1e-12
 
 
 def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
@@ -1085,3 +1165,184 @@ def test_scan_jobs_share_one_tile_set_per_worker(cfg129, region, monkeypatch):
     assert 2 <= len(made) <= 4
     assert np.array_equal(idx, ref_idx)
     assert np.abs(gain - ref_gain).max() <= 1e-12
+
+
+_BLOCKS = (16, 8, 32, 64, 128, 5, 1024, 4096, 2, 1)
+"""`block` values of the generated scans: chunks of one codeword to 512 built ones,
+in the order hypothesis prefers them (chunks of a few clusters first)."""
+
+
+def _gate_angles(rng, m):
+    """Angle samples of one of the scan's hard cases, spaced so that clusters of
+    1 to 64 angles arise at M antennas."""
+    kind = rng.choice(["symmetric", "asymmetric", "inside", "outside", "endfire"],
+                      p=[0.3, 0.2, 0.15, 0.2, 0.15])
+    n = rng.integers(1, 97)
+    step = rng.choice([0.01, 0.04, 0.15, 0.6], p=[0.35, 0.35, 0.2, 0.1]) / m
+    # equal gaps, or gaps of 0.1 to 4 steps, so that some members sit apart from the
+    # rest; a run of zero gaps, samples repeated next to each other; and islands of
+    # 4 to 16 samples, many beams apart, that make clusters of their own, their
+    # first sample perhaps an outlier: the one member the cluster's radius is for
+    gaps = step * (rng.uniform(0.1, 4.0, n) if rng.random() < 0.5 else np.ones(n))
+    if rng.random() < 0.5:
+        at = rng.integers(n)
+        gaps[at + 1:at + 1 + rng.integers(1, 9)] = 0.0
+    if rng.random() < 0.7:
+        island = rng.choice([4, 8, 16])
+        if rng.random() < 0.7:
+            gaps[1::island] = 0.4 / m
+        gaps[::island] = 20.0 / m
+    offsets = np.cumsum(gaps) - gaps[0]
+    offsets = offsets[offsets <= {"asymmetric": 1.6, "endfire": 1.9}.get(kind, 0.95)]
+    if kind == "asymmetric":
+        angles = rng.uniform(-0.8, max(0.8 - offsets[-1], -0.8)) + offsets
+    elif kind == "endfire":           # up to 1 - step / 2: at 1 itself every far ring ties
+        angles = np.maximum(1.0 - step / 2 - offsets[::-1], -0.99)
+    else:
+        pos = rng.uniform(0.0, step) + offsets[:max(len(offsets) // 2, 1)]
+        neg = -pos
+        if kind != "symmetric":       # mirrors just inside or just outside the pairing tolerance
+            tol = feedback._PAIR_TOL * (0.5 if kind == "inside" else 2.0)
+            neg = neg + tol * rng.choice([-1.0, 1.0], len(pos))
+        angles = np.concatenate([neg[::-1], pos])
+    if rng.random() < 0.3:
+        angles = np.append(angles, 0.0)
+    # unsorted samples cluster in index order where they have no mirror, so rarely
+    return rng.permutation(angles) if rng.random() < 0.15 else np.sort(angles)
+
+
+def _gate_ranges(rng):
+    "Range samples: finite, with the far field, duplicated, or dense in 1/r."
+    kind = rng.choice(["finite", "far", "duplicated", "dense"])
+    n = rng.integers(1, 13)
+    if kind == "dense":
+        inverse = rng.uniform(0.01, 0.25) + 10.0 ** rng.uniform(-6, -3) * np.arange(n)
+        return np.sort(1.0 / inverse)
+    ranges = np.sort(rng.uniform(2.0, 100.0, n))
+    if kind == "far":
+        ranges[-1] = np.inf
+    if kind == "duplicated":
+        ranges = np.sort(np.append(ranges, ranges[rng.integers(n)]))
+    return ranges
+
+
+def _cluster_reps(cfg, angles, block, level):
+    """Per angle index, the angle index of its cluster's representative (level 1)
+    or its half-cluster's (level 2) in a scan of `block`; mirrors map to mirrors."""
+    lead, mirror = feedback._mirror_pairs(angles)
+    step = max(1, min(block, feedback.SCAN_CHUNK) // 2)
+    group = feedback._cluster_size(cfg, angles[lead], len(mirror), step)
+    group = group // 2 if level == 2 and group >= 4 else group
+    rep, _, sizes = feedback._angle_clusters(cfg, angles[lead], group, len(mirror))
+    at = np.repeat(rep, sizes)
+    out = np.empty(len(angles), dtype=np.int64)
+    out[lead] = lead[at]
+    out[mirror] = mirror[at[:len(mirror)]]
+    return out
+
+
+def _gate_rows(rng, cfg, angles, ranges, block):
+    """Rows and their scales: edge rows, LoS on and off the grid, Rician, ties, zero;
+    scales 1 and near 1e+-300.  An edge row is a codeword less its component along
+    its (half-)cluster's representative, plus a weaker codeword elsewhere.  Its
+    codeword is, where the grid has one, a member farther from its representative
+    than any other sample within 4 / M of it: the row's best codeword then scores
+    as high above the representative as the radius allows."""
+    kinds = rng.choice(["edge", "edge2", "on", "off", "rician", "tie", "zero"],
+                       size=rng.integers(1, 11), p=[0.2, 0.2, 0.15, 0.15, 0.1, 0.15, 0.05])
+    values, counts = np.unique(angles, return_counts=True)
+    tied = values[counts > 1]
+    inverse = 1.0 / ranges
+    reps = {1: _cluster_reps(cfg, angles, block, 1), 2: _cluster_reps(cfg, angles, block, 2)}
+    edges = {}
+    for level, rep in reps.items():
+        spread = np.abs(angles - angles[rep])
+        reach = np.abs(angles[None, :] - angles[rep][:, None])
+        edges[level] = np.flatnonzero((spread > 0) & ~((reach > spread[:, None])
+                                                       & (reach < 4.0 / cfg.num_antennas)).any(1))
+    rows = []
+    for kind in kinds:
+        if kind.startswith("edge"):
+            rep = reps[2 if kind == "edge2" else 1]
+            edge = edges[2 if kind == "edge2" else 1]
+            i, k = rng.choice(edge) if len(edge) else rng.integers(len(angles)), \
+                rng.integers(len(angles))
+            b = steering_matrix_exact(cfg, angles[[i, rep[i], k]], np.full(3, rng.choice(ranges)))
+            row = b[0] - np.vdot(b[1], b[0]) * b[1]
+            row += rng.uniform(0.3, 0.95) * np.vdot(row, b[0]).real * b[2]
+        elif kind in ("on", "tie"):
+            theta = rng.choice(tied if kind == "tie" and len(tied) else angles)
+            row = steering_matrix_exact(cfg, np.array([theta]), rng.choice(ranges, 1))[0]
+        elif kind == "zero":
+            row = np.zeros(cfg.num_antennas, complex)
+        else:
+            paths = 1 if kind == "off" else 3
+            theta = rng.uniform(angles.min(), angles.max(), paths)
+            with np.errstate(divide="ignore"):
+                r = 1.0 / rng.uniform(inverse.min(), inverse.max(), paths)
+            gains = np.array([1.0, 0.3, 0.3])[:paths] * np.exp(2j * np.pi * rng.random(paths))
+            row = gains @ steering_matrix_exact(cfg, theta, r)
+            if kind == "rician":
+                row += 0.05 * (rng.standard_normal(len(row)) + 1j * rng.standard_normal(len(row)))
+        rows.append(row * np.sqrt(cfg.num_antennas))
+    scales = rng.choice([1.0, 1e-300, 1e300], size=len(rows), p=[0.6, 0.2, 0.2])
+    return np.array(rows) * scales[:, None], scales
+
+
+def _exhaustive_scan(cfg, vectors, angle_samples, range_samples):
+    """Reference scan without BLAS: every (row, codeword) gain from an elementwise
+    product and a numpy sum, ties to the lowest flat index.  A BLAS product may
+    score duplicated codewords differently (zgemm did at M = 8), so only this
+    reference decides ties."""
+    theta, r = grid_locations(angle_samples, range_samples,
+                              np.arange(len(angle_samples) * len(range_samples)))
+    cw = np.conj(steering_matrix_exact(cfg, theta, r))
+    gains = np.array([np.abs((cw * v).sum(axis=1)) for v in vectors])
+    idx = gains.argmax(axis=1)
+    return gains[np.arange(len(vectors)), idx], idx
+
+
+@st.composite
+def _scan_cases(draw):
+    """A scan input: M, `block` and the bulk skew drawn, the grid and the rows made
+    by a generator seeded with a drawn integer, with the weights above."""
+    m = draw(st.integers(8, 129))
+    block = draw(st.sampled_from(_BLOCKS))
+    # every bulk score pushed by `skew` E (as documented), down in even and up in odd
+    # columns: a rounding error within the bound that the margins have to absorb
+    skew = draw(st.sampled_from([0.0, 0.8, -0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = ArrayConfig(m, carrier_frequency=30e9)
+    angles = _gate_angles(rng, m)
+    ranges = _gate_ranges(rng)
+    vecs, scales = _gate_rows(rng, cfg, angles, ranges, block)
+    return cfg, angles, ranges, vecs, scales, block, skew
+
+
+@given(case=_scan_cases())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_scan_equals_exhaustive_scan_on_generated_grids(case):
+    # the contract of every pruning step: the indices of the float64 exhaustive
+    # scan, ties to the lowest flat index, gains within 1e-12 (of the row's
+    # scale) of the per-ring scan's, and the same bytes as the scan without clusters
+    cfg, angles, ranges, vecs, scales, block, skew = case
+    scores = feedback._bulk_scores
+
+    def skewed(rows32, cw32, mirrored, tiles=None):
+        out = scores(rows32, cw32, mirrored, tiles)
+        e = _documented_bulk_error(cfg.num_antennas, rows32.astype(np.complex128))
+        out += skew * e[:, None] * np.where(np.arange(out.shape[1]) % 2, 1.0, -1.0)
+        return out
+
+    with mock.patch.object(feedback, "_bulk_scores", skewed):
+        gain, idx = best_codeword_scan(cfg, vecs, angles, ranges, block=block)
+        with mock.patch.object(feedback, "_cluster_size", lambda *args: 1):
+            full_gain, full_idx = best_codeword_scan(cfg, vecs, angles, ranges, block=block)
+    exact_gain, exact_idx = _exhaustive_scan(cfg, vecs, angles, ranges)
+    assert np.array_equal(idx, exact_idx)
+    assert (np.abs(gain - exact_gain) <= 1e-12 * scales).all()
+    ref_gain, _ = _scan_per_ring(cfg, vecs, angles, ranges)
+    assert (np.abs(gain - ref_gain) <= 1e-12 * scales).all()
+    assert np.array_equal(idx, full_idx)
+    assert gain.tobytes() == full_gain.tobytes()
