@@ -191,8 +191,9 @@ def _pow2_scaled(vectors: np.ndarray) -> np.ndarray:
     overflows for rows of subnormal entries (shifts above 1023).
     """
     shift = -np.frexp(np.abs(vectors).max(axis=1))[1][:, None]
-    out = np.ldexp(vectors.real, shift).astype(np.complex128)
-    out.imag = np.ldexp(vectors.imag, shift)
+    out = np.empty(vectors.shape, np.complex128)
+    np.ldexp(vectors.real, shift, out=out.real)
+    np.ldexp(vectors.imag, shift, out=out.imag)
     return out
 
 
