@@ -6,11 +6,10 @@ from .array_model import (ArrayConfig, PolarCoord, PolarRegion, antenna_offsets,
                           steering_vector_fresnel)
 from .channels import (ChannelArrays, ChannelRealization, PathParam, effective_channel,
                        los_channel, multipath_channel, multipath_channel_equal)
-from .codebooks import (LloydConvergenceError, PolarCodebook, assemble_codebook,
-                        dft_angle_codebook, geometric_range_samples,
-                        hybrid_field_range_samples, hyperbolic_range_samples,
-                        lloyd_angle_samples, lloyd_range_samples, scheme_codebook,
-                        uniform_angle_samples, uniform_range_samples)
+from .codebooks import (LloydConvergenceError, PolarCodebook, dft_angle_codebook,
+                        geometric_range_samples, hybrid_field_range_samples,
+                        hyperbolic_range_samples, lloyd_angle_samples, lloyd_range_samples,
+                        scheme_codebook, uniform_angle_samples, uniform_range_samples)
 from .distributions import (Empirical, GaussianMixtureRange, HotSpotRange,
                             TruncatedGaussianRange, UniformPolar, load_empirical_csv,
                             range_pdf, sample_locations)

@@ -11,7 +11,6 @@ Lloyd iterations in the matching metric.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -274,13 +273,6 @@ class PolarCodebook:
                 cw = grid_codewords(self.cfg, self.angle_samples, self.range_samples, start,
                                     min(start + _EXPORT_BLOCK, len(self)))
                 fh.write(cw.astype("<c16", copy=False).tobytes())
-
-
-def assemble_codebook(cfg: ArrayConfig, angle_set, range_set) -> PolarCodebook:
-    "Deprecated: the codebook no longer caches its codewords; construct `PolarCodebook`."
-    warnings.warn("assemble_codebook is deprecated; construct PolarCodebook directly",
-                  DeprecationWarning, stacklevel=2)
-    return PolarCodebook(cfg, angle_set, range_set)
 
 
 def dft_angle_codebook(cfg: ArrayConfig, region: PolarRegion, total_bits: int) -> PolarCodebook:

@@ -160,8 +160,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 def validate_config(c: ExperimentConfig) -> None:
     if c.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{c.experiment}'")
-    if c.n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
+    if c.n_trials < 1 or c.n_mc < 1:
+        raise ConfigError("n_trials and n_mc must be >= 1")
     if c.threads < 1:
         raise ConfigError("threads must be >= 1")
     if c.threads != 1:
@@ -328,17 +328,13 @@ def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
     return ChannelArrays(thetas, ranges, gains, vectors)
 
 
-def _protocol_inputs(c: ExperimentConfig, channels: ChannelArrays):
-    "The (T, K, M) vectors and (T, K, 2) user locations of drawn channels."
-    vectors = channels.vectors.reshape(c.n_trials, c.k_users, -1)
-    coords = np.stack([channels.thetas[:, 0], channels.ranges[:, 0]], axis=-1)
-    return vectors, coords.reshape(c.n_trials, c.k_users, 2)
-
-
 def _rate_inputs(c: ExperimentConfig):
     "A rate run's (T, K, M) channel vectors, (T, K, 2) user locations and RVQ codebook."
-    vectors, coords = _protocol_inputs(c, draw_channels(c, c.distribution_spec()))
-    return vectors, coords, rvq_generate(c.k_users, c.b2, "isotropic", stream_seed(c.seed, "rvq"))
+    channels = draw_channels(c, c.distribution_spec())
+    vectors = channels.vectors.reshape(c.n_trials, c.k_users, -1)
+    coords = np.stack([channels.thetas[:, 0], channels.ranges[:, 0]], axis=-1)
+    return (vectors, coords.reshape(c.n_trials, c.k_users, 2),
+            rvq_generate(c.k_users, c.b2, "isotropic", stream_seed(c.seed, "rvq")))
 
 
 def run_rate_vs_snr(c: ExperimentConfig):
@@ -470,8 +466,8 @@ _ALLOCATION_SCHEMES = ("geometric", "hyperbolic", "uniform", "dft")
 
 def run_allocation(c: ExperimentConfig) -> str:
     "Exhaustive (p, q) table at p + q = b1; returns CSV text."
-    if c.b1 < 1 or c.n_mc < 1:
-        raise ConfigError("allocate needs b1 >= 1 and n_mc >= 1")
+    if c.b1 < 1:
+        raise ConfigError("allocate needs b1 >= 1")
     if c.scheme not in _ALLOCATION_SCHEMES or c.distribution == "empirical":
         raise ConfigError(f"allocate supports the schemes {list(_ALLOCATION_SCHEMES)} and no "
                           f"empirical distribution; got {c.scheme}, {c.distribution}")

@@ -665,11 +665,11 @@ def rvq_generate(k_users: int, b2: int, mode: str = "isotropic", seed=0,
 
 
 def phase2_select(g: np.ndarray, cb: RVQCodebook) -> tuple[int, np.ndarray]:
-    "Codeword maximizing |g^H b|^2; returns (index, codeword). Ties pick the lowest index."
+    "Codeword maximizing |g^H b| (`_rvq_pick`); returns (index, codeword). Ties pick the lowest."
     g = np.asarray(g)
     if np.linalg.norm(g) == 0:
         raise ValueError("zero effective channel")
-    idx = int(np.argmax(np.abs(cb.codewords @ g.conj()) ** 2))
+    idx = int(_rvq_pick(g.conj()[None, None], cb.codewords)[0, 0])
     return idx, cb.codewords[idx]
 
 
@@ -718,21 +718,23 @@ def user_rate(h, f_rf: np.ndarray, f_bb: np.ndarray, k: int, p_total: float,
 
 
 _PHASE2_SCORES = 2**16
-"""RVQ scores per phase-2 step, in whole drops: 24 bytes each (complex128 product and
-float64 modulus), 1.5 MiB.  A step holds at least one drop's K 2^b2 scores."""
+"""RVQ scores per `_rvq_pick` step, in whole drops (or channels, for path gains): 24 bytes
+each (complex128 product and float64 modulus), 1.5 MiB.  A step holds at least one drop's
+K 2^b2 scores."""
 
 
 def _rvq_pick(g: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    """Each row's best RVQ codeword, argmax_c |sum_j codewords[c, j] g[t, k, j]|, for g (T, K, K).
+    """Each row's best RVQ codeword, argmax_c |sum_j codewords[c, j] g[t, k, j]|, for g (T, K, D).
 
-    One matrix product per step of `_PHASE2_SCORES` scores, on one OpenBLAS
-    thread (`single_blas`); ties pick the lowest index.
+    The one RVQ selector: phase 2, `phase2_select` and `quantize_path_gains`
+    all pick through it.  One matrix product per step of `_PHASE2_SCORES`
+    scores, on one OpenBLAS thread (`single_blas`); ties pick the lowest index.
     """
-    n_trials, k_users, _ = g.shape
+    n_trials, k_users, dim = g.shape
     step = max(1, _PHASE2_SCORES // (k_users * len(codewords)))
     with single_blas():
         return np.concatenate([
-            np.abs(g[t:t + step].reshape(-1, k_users) @ codewords.T).argmax(axis=1)
+            np.abs(g[t:t + step].reshape(-1, dim) @ codewords.T).argmax(axis=1)
             for t in range(0, n_trials, step)]).reshape(n_trials, k_users)
 
 
@@ -821,9 +823,6 @@ def run_protocol(cfg: ArrayConfig, users, cb1: PolarCodebook | None, cb2: RVQCod
                            zf_rates(out.rx[0], p_total, noise_var))
 
 
-_GAIN_SCORES = 2**16
-"RVQ scores per step of `quantize_path_gains` (1 MiB as complex128), in whole channels."
-
 _PATH_ROWS = 48
 """Steering rows per step of `multipath_feedback_batch` (16 channels of 3 paths): each of
 its (48, M) complex temporaries is about 300 kB at M = 387, whatever the channel count."""
@@ -859,18 +858,16 @@ def nearest_index(values: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 
 def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
-    """Fed-back path gains of N channels (N, L): each row's best RVQ direction (as
-    `phase2_select` picks it), phase-aligned to the row and scaled to its norm.
+    """Fed-back path gains of N channels (N, L): each row's best RVQ direction,
+    phase-aligned to the row and scaled to its norm.
 
+    The directions come from `_rvq_pick`, as `phase2_select` picks them, with
+    all N channels in steps of `_PHASE2_SCORES` scores on one OpenBLAS thread.
     The quantized gains depend on neither the location codebook nor its bits,
     so a run quantizes each channel once.
     """
     cw = gain_cb.codewords
-    step = max(1, _GAIN_SCORES // len(cw))
-    # one matrix-vector product per row, the same BLAS call as phase2_select's
-    pick = np.concatenate([
-        (np.abs(np.matmul(cw, gains[lo:lo + step].conj()[:, :, None])[..., 0]) ** 2)
-        .argmax(axis=1) for lo in range(0, len(gains), step)])
+    pick = _rvq_pick(gains.conj()[:, None], cw)[:, 0]
     out = np.empty_like(gains, dtype=np.complex128)
     for n, (g, direction) in enumerate(zip(gains, cw[pick])):
         norm = np.linalg.norm(g)

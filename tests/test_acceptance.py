@@ -18,7 +18,7 @@ import polarcb as pc
 from polarcb.allocation import optimize_allocation
 from polarcb.array_model import steering_matrix_exact, steering_matrix_fresnel
 from polarcb.distributions import UniformPolar, sample_locations
-from polarcb.experiments import (ExperimentConfig, _protocol_inputs, draw_channels,
+from polarcb.experiments import (ExperimentConfig, _rate_inputs, draw_channels,
                                  run_experiment, stream_seed)
 from polarcb.feedback import (best_codeword_scan, multipath_feedback_batch, quantize_path_gains,
                               run_protocol_batch, rvq_generate, zf_rates)
@@ -42,8 +42,7 @@ def protocol_run():
     "1000 protocol trials at the default setup, all schemes, shared by 9 and 11."
     c = ExperimentConfig(num_antennas=387, p=12, q=3, k_users=4, l_paths=3,
                          kappa_db=9.54, b2=12, n_trials=1000, seed=SEED)
-    vectors, coords = _protocol_inputs(c, draw_channels(c, c.distribution_spec()))
-    cb2 = rvq_generate(4, 12, "isotropic", stream_seed(SEED, "rvq"))
+    vectors, coords, cb2 = _rate_inputs(c)
     rx = {}
     for scheme in ("geometric", "hyperbolic", "uniform", "dft", "hybrid"):
         cb1 = pc.scheme_codebook(CFG387, REGION, scheme, 12, 3)

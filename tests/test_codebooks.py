@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarcb import (LloydConvergenceError, assemble_codebook, dft_angle_codebook,
+from polarcb import (LloydConvergenceError, PolarCodebook, dft_angle_codebook,
                      geometric_range_samples, hybrid_field_range_samples,
                      hyperbolic_range_samples, lloyd_angle_samples, lloyd_range_samples,
                      scheme_codebook, steering_vector_exact, uniform_angle_samples,
@@ -78,10 +78,9 @@ def test_dft_codebook(cfg129, region):
     assert np.allclose(slope, slope[0], atol=1e-9)
 
 
-def test_assemble_codebook(cfg129, region):
-    with pytest.deprecated_call():
-        cb = assemble_codebook(cfg129, uniform_angle_samples(region, 2),
-                               geometric_range_samples(region, 3))
+def test_polar_codebook_from_sample_sets(cfg129, region):
+    cb = PolarCodebook(cfg129, uniform_angle_samples(region, 2),
+                       geometric_range_samples(region, 3))
     assert len(cb) == 32
     cw = cb.codewords
     assert np.allclose(np.linalg.norm(cw, axis=1), 1.0, atol=1e-12)

@@ -14,7 +14,7 @@ import polarcb
 import polarcb.experiments as experiments
 from polarcb.cli import main
 from polarcb.codebooks import load_codebook_binary, load_codebook_csv
-from polarcb.experiments import (ConfigError, ExperimentConfig, parse_config_text,
+from polarcb.experiments import (ConfigError, ExperimentConfig, load_config, parse_config_text,
                                  run_experiment, theory_report, validate_config)
 
 SMALL = """
@@ -49,6 +49,21 @@ def test_parse_and_validate():
 def test_parse_errors(line, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config_text(line)
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+def test_configs_are_shipped():
+    assert SHIPPED_CONFIGS
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_loads(path):
+    # validation only: a stricter validate_config must not reject a shipped config
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_config(path)
 
 
 def test_validation_errors():
@@ -431,6 +446,9 @@ _TINY = "num_antennas = 65\np = 4\nn_trials = 4\nn_mc = 4\nschemes = geometric\n
     ("codebook", "scheme = hybrid\nq = 0\n", "hybrid"),
     ("allocate", "b1 = 0\n", "b1"),
     ("allocate", "b1 = 3\nn_mc = 0\n", "n_mc"),
+    ("allocate", "b1 = 3\nn_mc = -2\n", "n_mc"),
+    ("theory", "n_mc = 0\n", "n_mc"),
+    ("theory", "n_mc = -5\n", "n_mc"),
     ("allocate", "b1 = 3\nscheme = extended\n", "extended"),
     ("allocate", "b1 = 3\nscheme = hybrid\n", "hybrid"),
     ("allocate", "b1 = 3\ndistribution = empirical\nempirical_csv = users.csv\n", "empirical"),

@@ -91,6 +91,19 @@ def _scan_per_ring(cfg, vectors, angle_samples, range_samples, block=4096):
     return best, best_idx
 
 
+def _exhaustive_scan(cfg, vectors, angle_samples, range_samples):
+    """Reference scan without BLAS: every (row, codeword) gain from an elementwise
+    product and a numpy sum, ties to the lowest flat index.  A BLAS product may
+    score duplicated codewords differently (zgemm did at M = 8), so only this
+    reference decides ties."""
+    theta, r = grid_locations(angle_samples, range_samples,
+                              np.arange(len(angle_samples) * len(range_samples)))
+    cw = np.conj(steering_matrix_exact(cfg, theta, r))
+    gains = np.array([np.abs((cw * v).sum(axis=1)) for v in vectors])
+    idx = gains.argmax(axis=1)
+    return gains[np.arange(len(vectors)), idx], idx
+
+
 def _scan_vectors(cfg, region, n):
     "LoS, Rician (9.54 dB), equal-gain and i.i.d. Gaussian rows, n of each."
     rng = np.random.default_rng(21)
@@ -148,7 +161,7 @@ def test_scan_tie_across_block_boundary(cfg129, angles, block):
     angles, ranges = np.array(angles), np.array([30.0])
     h = los_channel(cfg129, PolarCoord(0.2, 30.0)).vector
     lowest = int(np.argmax(angles == 0.2))
-    _, ref_idx = _scan_per_ring(cfg129, h, angles, ranges)
+    _, ref_idx = _exhaustive_scan(cfg129, h[None], angles, ranges)
     gain, idx = best_codeword_scan(cfg129, h, angles, ranges, block=block)
     assert ref_idx[0] == idx[0] == lowest
     assert gain[0] == pytest.approx(np.linalg.norm(h))
@@ -858,7 +871,7 @@ def test_quantize_path_gains_steps_match_one_channel_calls():
     rng = np.random.default_rng(15)
     gains = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     gain_cb = rvq_generate(3, 12, "isotropic", 16)
-    assert 1 < feedback._GAIN_SCORES // 2**12 < len(gains)    # several steps
+    assert 1 < feedback._PHASE2_SCORES // 2**12 < len(gains)    # several steps
     batch = quantize_path_gains(gains, gain_cb)
     for g, row in zip(gains, batch):
         _, direction = phase2_select(g, gain_cb)
@@ -975,6 +988,17 @@ def test_phase2_chunks_pick_the_unchunked_argmax(cfg129, small_cb):
     assert np.array_equal(out.ghat, cb2.codewords[pick].conj())
 
 
+def test_phase2_select_picks_the_protocol_codeword(cfg129, small_cb):
+    # phase2_select quantizes an effective channel F_RF^H h; the batch quantizes
+    # the rows h^H F_RF, its conjugates, and keeps the conjugate codeword in ghat
+    _, vectors, _ = _drops(cfg129, 5, 3, 34)
+    cb2 = rvq_generate(3, 8, "isotropic", 7)
+    out = run_protocol_batch(cfg129, vectors, small_cb, cb2)
+    for t, k in np.ndindex(5, 3):
+        _, codeword = phase2_select(out.f_rf[t].conj().T @ vectors[t, k], cb2)
+        assert np.array_equal(out.ghat[t, k], codeword.conj())
+
+
 def test_phase2_peak_within_the_step(cfg129):
     # a step holds _PHASE2_SCORES scores at 24 bytes each; besides them only
     # the picks (8 bytes per row, twice while they are joined) are allocated
@@ -1047,7 +1071,8 @@ def test_scan_tie_across_row_blocks_and_chunks(cfg129, region):
     tied = [0, feedback._ROW_BLOCK - 1, feedback._ROW_BLOCK, n - 1]
     vecs[tied] = h * np.array([1.0, 2.5j, -0.7, 1e-3])[:, None]
     gain, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]))
-    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))
+    ref_gain, _ = _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))
+    _, ref_idx = _exhaustive_scan(cfg129, vecs, angles, np.array([30.0]))
     assert list(idx[tied]) == [1023] * 4
     assert np.array_equal(idx, ref_idx)
     assert np.abs(gain - ref_gain).max() <= 1e-12
@@ -1287,19 +1312,6 @@ def _gate_rows(rng, cfg, angles, ranges, block):
         rows.append(row * np.sqrt(cfg.num_antennas))
     scales = rng.choice([1.0, 1e-300, 1e300], size=len(rows), p=[0.6, 0.2, 0.2])
     return np.array(rows) * scales[:, None], scales
-
-
-def _exhaustive_scan(cfg, vectors, angle_samples, range_samples):
-    """Reference scan without BLAS: every (row, codeword) gain from an elementwise
-    product and a numpy sum, ties to the lowest flat index.  A BLAS product may
-    score duplicated codewords differently (zgemm did at M = 8), so only this
-    reference decides ties."""
-    theta, r = grid_locations(angle_samples, range_samples,
-                              np.arange(len(angle_samples) * len(range_samples)))
-    cw = np.conj(steering_matrix_exact(cfg, theta, r))
-    gains = np.array([np.abs((cw * v).sum(axis=1)) for v in vectors])
-    idx = gains.argmax(axis=1)
-    return gains[np.arange(len(vectors)), idx], idx
 
 
 @st.composite

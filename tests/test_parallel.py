@@ -182,21 +182,27 @@ def _recording(cb: RVQCodebook, count, fail: bool):
 
 @needs_openblas
 @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
-def test_phase2_products_run_on_one_blas_thread(cfg129, blas_count, fail):
-    # phase 2's products are far too small to share; at OpenBLAS's full
-    # count each would wake its idle threads beside the scan's workers
-    cb1 = scheme_codebook(cfg129, PolarRegion(-0.5, 0.5, 4.0, 120.0), "geometric", 4, 2)
+@pytest.mark.parametrize("caller", ["protocol", "path_gains"])
+def test_phase2_products_run_on_one_blas_thread(cfg129, blas_count, fail, caller):
+    # RVQ products (phase 2's, and the path gains' through the same selector)
+    # are far too small to share; at OpenBLAS's full count each would wake
+    # its idle threads beside the scan's workers
     rng = np.random.default_rng(3)
-    vectors = steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, (3, 4)),
-                                    rng.uniform(4.0, 120.0, (3, 4)))
-    cb2, phase2 = _recording(rvq_generate(4, 6, seed=1), blas_count, fail)
+    if caller == "protocol":
+        cb1 = scheme_codebook(cfg129, PolarRegion(-0.5, 0.5, 4.0, 120.0), "geometric", 4, 2)
+        vectors = steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, (3, 4)),
+                                        rng.uniform(4.0, 120.0, (3, 4)))
+        width, run = 4, lambda cb: run_protocol_batch(cfg129, vectors, cb1, cb).ghat
+    else:
+        gains = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        width, run = 3, lambda cb: feedback.quantize_path_gains(gains, cb)
+    cb2, phase2 = _recording(rvq_generate(width, 6, seed=1), blas_count, fail)
     with pytest.raises(FloatingPointError) if fail else nullcontext():
-        batch = run_protocol_batch(cfg129, vectors, cb1, cb2)
+        picked = run(cb2)
     assert blas_count() == 4
     assert phase2 and set(phase2) == {1}
     if not fail:
-        plain = run_protocol_batch(cfg129, vectors, cb1, rvq_generate(4, 6, seed=1))
-        assert batch.ghat.tobytes() == plain.ghat.tobytes()
+        assert picked.tobytes() == run(rvq_generate(width, 6, seed=1)).tobytes()
 
 
 def test_pool_without_openblas_runs_unchanged(monkeypatch, recorded_pools):
