@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed=args.seed, threads=args.threads, out=args.out)
+        config = load_config(args.config, args.command, seed=args.seed, threads=args.threads,
+                             out=args.out)
     except (ConfigError, OSError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,6 +38,8 @@ class HotSpotRange:
             raise ValueError("hot interval must sit inside [r_min, r_max]")
         if not 0.0 < self.hot_mass <= 1.0:
             raise ValueError("hot_mass must lie in (0, 1]")
+        if (self.hot_lo, self.hot_hi) == (r.r_min, r.r_max) and self.hot_mass < 1.0:
+            raise ValueError("hot interval covers [r_min, r_max], so hot_mass must be 1")
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,6 @@ def _hotspot_ranges(spec: HotSpotRange, count: int, rng) -> np.ndarray:
     r[hot] = spec.hot_lo + rng.uniform(0.0, 1.0, hot.sum()) * (spec.hot_hi - spec.hot_lo)
     n_cold = (~hot).sum()
     if n_cold:
-        if cold <= 0.0:
-            raise ValueError("hot interval covers the region but hot_mass < 1")
         v = rng.uniform(0.0, cold, n_cold)
         r[~hot] = np.where(v < left, reg.r_min + v, spec.hot_hi + (v - left))
     return r

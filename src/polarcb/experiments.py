@@ -15,6 +15,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class ExperimentConfig:
     gauss_std: float = 10.0
     gmm_components: str = ""
     empirical_csv: str = ""
-    schemes: tuple = ("geometric", "hyperbolic", "uniform", "dft", "hybrid", "full_csi")
+    schemes: tuple[str, ...] = ("geometric", "hyperbolic", "uniform", "dft", "hybrid", "full_csi")
     p: int = 12
     q: int = 3
     k_users: int = 4
@@ -74,7 +75,7 @@ class ExperimentConfig:
     snr_db: float = 22.0
     n_trials: int = 1000
     seed: int = 0
-    sweep: tuple = ()
+    sweep: tuple[float, ...] = ()
     out: str = ""
     threads: int = 1                # deprecated, no effect; validate_config warns unless 1
     n_train: int = 100000
@@ -110,18 +111,15 @@ class ExperimentConfig:
         raise ConfigError(f"unknown distribution '{self.distribution}'")
 
 
-_PARSERS = {
-    "experiment": str, "num_antennas": int, "carrier_ghz": float,
-    "theta_min": float, "theta_max": float, "r_min": float, "r_max": float,
-    "distribution": str, "hot_lo": float, "hot_hi": float, "hot_mass": float,
-    "gauss_mean": float, "gauss_std": float, "gmm_components": str, "empirical_csv": str,
-    "schemes": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-    "p": int, "q": int, "k_users": int, "l_paths": int, "kappa_db": float,
-    "b2": int, "snr_db": float, "n_trials": int, "seed": int,
-    "sweep": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
-    "out": str, "threads": int, "n_train": int, "lloyd_tolerance": float,
-    "b1": int, "n_mc": int, "scheme": str,
-}
+def _parser(kind):
+    "Parser of a field annotated `kind`: the scalar type, or a comma list of a tuple's items."
+    if get_origin(kind) is not tuple:
+        return kind
+    item = get_args(kind)[0]
+    return lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip())
+
+
+_PARSERS = {key: _parser(kind) for key, kind in get_type_hints(ExperimentConfig).items()}
 
 _FLOAT_KEYS = tuple(key for key, parse in _PARSERS.items() if parse is float)
 
@@ -149,16 +147,18 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+def load_config(path: str | Path, command: str = "simulate", **overrides) -> ExperimentConfig:
     raw = parse_config_text(Path(path).read_text())
     raw.update({k: v for k, v in overrides.items() if v is not None})
     cfg = ExperimentConfig(**raw)
-    validate_config(cfg)
+    validate_config(cfg, command)
     return cfg
 
 
-def validate_config(c: ExperimentConfig) -> None:
-    if c.experiment not in EXPERIMENTS:
+def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
+    "Raise ConfigError unless CLI `command` can run `c`, checking only what `command` reads."
+    simulate = command == "simulate"
+    if simulate and c.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{c.experiment}'")
     if c.n_trials < 1 or c.n_mc < 1:
         raise ConfigError("n_trials and n_mc must be >= 1")
@@ -179,7 +179,7 @@ def validate_config(c: ExperimentConfig) -> None:
     if c.carrier_ghz <= 0:
         raise ConfigError("carrier_ghz must be > 0")
     decibels = [(key, getattr(c, key)) for key in _DB_KEYS]
-    if c.experiment == "rate_vs_snr":
+    if simulate and c.experiment == "rate_vs_snr":
         decibels += [("sweep", v) for v in c.sweep]
     bad = sorted({key for key, value in decibels if not _power_ratio_finite(value)})
     if bad:
@@ -192,41 +192,41 @@ def validate_config(c: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _check_distribution(c)
-    if c.experiment == "gain_vs_rmax":
-        for r_max in c.sweep:
-            _check_distribution(replace(c, r_max=r_max))
-    valid = set(SCHEMES) | {"full_csi"}
-    bad = [s for s in c.schemes if s not in valid]
-    if bad:
-        raise ConfigError(f"unknown schemes: {bad}")
-    if not c.schemes or len(set(c.schemes)) != len(c.schemes):
-        raise ConfigError(f"schemes must name at least one scheme, each once; "
-                          f"got {list(c.schemes)}")
-    if c.scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme '{c.scheme}'")
-    if c.sweep and list(c.sweep) != sorted(set(c.sweep)):
-        raise ConfigError("sweep values must be strictly increasing")
-    least = _INTEGER_SWEEPS.get(c.experiment)
-    if least is not None and not all(float(v).is_integer() and v >= least for v in c.sweep):
-        raise ConfigError(f"{c.experiment} sweeps integers >= {least}; got {list(c.sweep)}")
-    swept_q = c.experiment in ("gain_vs_q", "multipath_gain_vs_q") and c.sweep
-    for bits, columns, what in _codebook_sizes(c, swept_q):
+    if simulate:
+        if c.experiment == "gain_vs_rmax":
+            for r_max in c.sweep:
+                _check_distribution(replace(c, r_max=r_max))
+        if not c.schemes or len(set(c.schemes)) != len(c.schemes):
+            raise ConfigError(f"schemes must name at least one scheme, each once; "
+                              f"got {list(c.schemes)}")
+        if c.sweep and list(c.sweep) != sorted(set(c.sweep)):
+            raise ConfigError("sweep values must be strictly increasing")
+        least = _INTEGER_SWEEPS.get(c.experiment)
+        if least is not None and not all(float(v).is_integer() and v >= least for v in c.sweep):
+            raise ConfigError(f"{c.experiment} sweeps integers >= {least}; got {list(c.sweep)}")
+    swept_q = simulate and c.experiment in ("gain_vs_q", "multipath_gain_vs_q") and c.sweep
+    qs = [int(v) for v in c.sweep] if swept_q else [c.q]
+    if command == "allocate" and (c.b1 < 1 or c.scheme not in _ALLOCATION_SCHEMES
+                                  or c.distribution == "empirical"):
+        raise ConfigError(f"allocate needs b1 >= 1, a scheme in {list(_ALLOCATION_SCHEMES)} and "
+                          f"no empirical distribution; got {c.b1}, {c.scheme}, {c.distribution}")
+    if command == "theory" and c.num_antennas < 3:
+        raise ConfigError("theory needs num_antennas >= 3: below, its gain surrogate is constant")
+    for bits, columns, what in _codebook_sizes(c, command, max(qs)):
         # 2^25 already exceeds the cap, so larger bit counts build no huge integer
         if columns * 2 ** min(bits, 25) > MAX_CODEBOOK_ENTRIES:
             raise ConfigError(f"{what} would hold {columns} x 2^{bits} entries, above "
                               f"the cap of 2^24 = {MAX_CODEBOOK_ENTRIES}")
-    if (("hybrid" in c.schemes and min(c.sweep if swept_q else (c.q,)) < 1)
-            or (c.scheme == "hybrid" and c.q < 1)):
+    built = {"simulate": c.schemes, "theory": ("geometric",)}.get(command, (c.scheme,))
+    known = set(SCHEMES) | ({"full_csi"} if simulate and c.experiment == "rate_vs_snr" else set())
+    bad = [s for s in built if s not in known]
+    if bad:
+        raise ConfigError(f"unknown schemes: {bad} (full_csi applies to rate_vs_snr only)")
+    if "hybrid" in built and min(qs) < 1:
         raise ConfigError("the hybrid scheme needs q >= 1, at q and at every swept q")
-    if "extended" in c.schemes or c.scheme == "extended":
-        q_max = int(max((c.q, *c.sweep) if swept_q else (c.q,)))
-        if c.n_train < 2**q_max:
-            raise ConfigError(f"the extended scheme needs n_train >= 2^q = {2**q_max} "
-                              f"training ranges at q = {q_max}; got {c.n_train}")
-        if c.lloyd_tolerance <= 0:
-            raise ConfigError("the extended scheme needs lloyd_tolerance > 0")
-    if c.experiment != "rate_vs_snr" and "full_csi" in c.schemes:
-        raise ConfigError("full_csi only applies to rate experiments")
+    if "extended" in built and (c.n_train < 2 ** max(qs) or c.lloyd_tolerance <= 0):
+        raise ConfigError(f"the extended scheme needs n_train >= 2^q and lloyd_tolerance > 0 "
+                          f"at q = {max(qs)}; got {c.n_train}, {c.lloyd_tolerance}")
 
 
 _DB_KEYS = ("kappa_db", "snr_db")
@@ -241,13 +241,14 @@ def _power_ratio_finite(db: float) -> bool:
         return False
 
 
-def _codebook_sizes(c: ExperimentConfig, swept_q: bool):
-    "(bits, columns, name) of every codebook the config sizes: columns x 2^bits entries."
-    q = int(max(c.q, *c.sweep)) if swept_q else c.q
-    sizes = [(c.p + q, 1, f"the phase-1 codebook at p + q = {c.p} + {q}"),
-             (c.b1, 1, f"the allocate codebook at b1 = {c.b1}"),
-             (c.b2, c.k_users, f"the RVQ codebook of K = {c.k_users} users at b2 = {c.b2}")]
-    if c.experiment == "multipath_gain_vs_q":
+def _codebook_sizes(c: ExperimentConfig, command: str, q: int):
+    "(bits, columns, name) of every codebook `command` builds at range bits q: columns x 2^bits."
+    if command == "allocate":
+        return [(c.b1, 1, f"the allocate codebook at b1 = {c.b1}")]
+    sizes = [(c.p + q, 1, f"the phase-1 codebook at p + q = {c.p} + {q}")]
+    if command == "theory" or (command == "simulate" and c.experiment == "rate_vs_snr"):
+        sizes.append((c.b2, c.k_users, f"the RVQ codebook of K = {c.k_users} users at b2 = {c.b2}"))
+    if command == "simulate" and c.experiment == "multipath_gain_vs_q":
         sizes.append((c.b2, c.l_paths, f"the path-gain codebook of L = {c.l_paths} paths "
                                        f"at b2 = {c.b2}"))
     return sizes
@@ -466,11 +467,7 @@ _ALLOCATION_SCHEMES = ("geometric", "hyperbolic", "uniform", "dft")
 
 def run_allocation(c: ExperimentConfig) -> str:
     "Exhaustive (p, q) table at p + q = b1; returns CSV text."
-    if c.b1 < 1:
-        raise ConfigError("allocate needs b1 >= 1")
-    if c.scheme not in _ALLOCATION_SCHEMES or c.distribution == "empirical":
-        raise ConfigError(f"allocate supports the schemes {list(_ALLOCATION_SCHEMES)} and no "
-                          f"empirical distribution; got {c.scheme}, {c.distribution}")
+    validate_config(c, "allocate")
     result = optimize_allocation(c.b1, c.distribution_spec(), c.array_config(),
                                  c.n_mc, stream_seed(c.seed, "alloc"), scheme=c.scheme)
     lines = ["p,q,gamma_hat,stderr"]

@@ -69,4 +69,4 @@ def test_every_workload_config_loads(tmp_path, size):
     for name, workload in _load("workloads").WORKLOADS.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(workload.config_text(0, size))
-        load_config(path)
+        load_config(path, workload.command)

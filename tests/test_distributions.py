@@ -86,6 +86,10 @@ def test_validation_errors(region):
         HotSpotRange(region, 2.0, 20.0, 0.9)      # hot interval outside region
     with pytest.raises(ValueError):
         HotSpotRange(region, 10.0, 20.0, 1.5)
+    with pytest.raises(ValueError, match="hot_mass must be 1"):
+        HotSpotRange(region, region.r_min, region.r_max, 0.9)   # no cold range to draw from
+    whole = HotSpotRange(region, region.r_min, region.r_max, 1.0)
+    assert sample_locations(whole, 100, 3).shape == (100, 2)
     with pytest.raises(ValueError):
         TruncatedGaussianRange(region, 20.0, 0.0)
     with pytest.raises(ValueError):

@@ -60,10 +60,12 @@ def test_configs_are_shipped():
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
 def test_shipped_config_loads(path):
-    # validation only: a stricter validate_config must not reject a shipped config
+    # validation only, under the config's own command: a stricter validate_config
+    # must not reject a shipped config
+    command = path.stem if path.stem in ("allocate", "codebook", "theory") else "simulate"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        load_config(path)
+        load_config(path, command)
 
 
 def test_validation_errors():
@@ -235,6 +237,8 @@ def _main_within(argv, seconds):
     "gauss_mean = 5000\ngauss_std = 1\n",
     # valid at the configured r_max; the swept r_max = 15 cuts the hot interval
     "experiment = gain_vs_rmax\nsweep = 15,60\ndistribution = hotspot\n",
+    # no cold range to draw the other 10% from: a ValueError traceback at the first draw
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = hotspot\nhot_lo = 4\nhot_hi = 120\n",
 ])
 def test_cli_bad_distribution_is_config_error(tmp_path, lines):
     text = "schemes = geometric\nnum_antennas = 65\np = 4\nn_trials = 20\n" + lines
@@ -474,6 +478,33 @@ def test_cli_limits_are_config_errors(tmp_path, monkeypatch, capsys, command, li
     argv = [command, "--config", _write(tmp_path, text + lines), "--out", str(tmp_path / "o")]
     assert _main_within(argv, 10.0) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,lines", [
+    ("codebook", "q = 0\n"),           # the hybrid rule, through the default schemes
+    ("theory", "q = 0\n"),
+    ("codebook", "experiment = gain_vs_q\nschemes = full_csi\n"),
+    ("codebook", "sweep = 3,2\n"),
+    ("allocate", "b1 = 3\nsweep = 3,2\n"),
+    ("allocate", "b1 = 3\nb2 = 23\n"),                    # the RVQ cap
+    ("simulate", "b1 = 30\n"),
+    ("simulate", "experiment = gain_vs_q\nschemes = geometric\nb2 = 23\n"),
+    ("simulate", "experiment = gain_vs_q\nschemes = geometric\nscheme = nope\n"),
+])
+def test_cli_checks_only_what_the_command_builds(tmp_path, command, lines):
+    # each exited 2 on a rule of a key or codebook its command never reads or builds
+    text = "num_antennas = 65\np = 4\nn_trials = 4\nn_mc = 4\n" + lines
+    argv = [command, "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")]
+    assert _main_within(argv, 30.0) == 0
+
+
+@pytest.mark.parametrize("antennas,code", [(1, 2), (2, 2), (3, 0)])
+def test_cli_theory_needs_three_antennas(tmp_path, capsys, antennas, code):
+    # at M <= 2 the gain surrogate is constant, and the threshold search ended in a
+    # RuntimeError traceback (exit 1)
+    cfg = _write(tmp_path, f"num_antennas = {antennas}\np = 2\nq = 1\nn_mc = 4\n")
+    assert main(["theory", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == code
+    assert ("num_antennas >= 3" in capsys.readouterr().err) == (code == 2)
 
 
 def test_extended_training_ranges_drawn_once_per_run(tmp_path, monkeypatch):
