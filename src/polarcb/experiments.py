@@ -29,8 +29,10 @@ from .distributions import (MIN_TRUNCATION_MASS, DistributionSpec, GaussianMixtu
                             load_empirical_csv, mean_stderr, sample_locations, truncation_mass)
 # bound under this name, which the benchmark traces as the beamforming layer
 from .feedback import run_protocol_batch as _batched_beamformers
-from .feedback import multipath_feedback_batch, quantize_path_gains, rvq_generate, zf_rates
+from .feedback import (_PATH_ROWS, multipath_feedback_batch, quantize_path_gains, rvq_generate,
+                       zf_rates)
 from . import gain_theory
+from .parallel import run_steps
 
 EXPERIMENTS = ("rate_vs_snr", "gain_vs_q", "gain_vs_m", "gain_vs_rmax", "multipath_gain_vs_q")
 
@@ -165,8 +167,9 @@ def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
     if c.threads < 1:
         raise ConfigError("threads must be >= 1")
     if c.threads != 1:
-        warnings.warn("threads is deprecated and has no effect: trials run in one thread, "
-                      "and the phase-1 scan sizes its own pool", FutureWarning)
+        warnings.warn("threads is deprecated and has no effect: trials draw in one thread, "
+                      "and the phase-1 scan and the channel assembly size their own pools",
+                      FutureWarning)
     if c.seed < 0:
         raise ConfigError("seed must be >= 0")
     if c.k_users < 1 or c.l_paths < 1:
@@ -301,16 +304,18 @@ def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
 
     `spec` is `c.distribution_spec()`, built once per run by the caller: an
     empirical law reads its CSV file when built.  Each trial draws from its
-    own streams into its own rows of the preallocated arrays.  Users have one
-    line-of-sight path of gain 1 when `c.l_paths` is 1; otherwise L - 1
-    uniform scatterers and Rician gains (equal-power gains under `equal_gains`).
+    own streams into its own rows of the preallocated arrays, one trial after
+    another on the calling thread; the vectors are then assembled from the
+    drawn paths `_PATH_ROWS` steering rows per step, the steps on the shared
+    pool.  Users have one line-of-sight path of gain 1 when `c.l_paths` is 1;
+    otherwise L - 1 uniform scatterers and Rician gains (equal-power gains
+    under `equal_gains`).
     """
     cfg = c.array_config()
     k_users, paths = c.k_users, c.l_paths
     rows = c.n_trials * k_users
     thetas, ranges = np.empty((rows, paths)), np.empty((rows, paths))
     gains = np.ones((rows, paths), dtype=np.complex128)
-    vectors = np.empty((rows, cfg.num_antennas), dtype=np.complex128)
     scatter = UniformPolar(c.region())
     for trial in range(c.n_trials):
         users = slice(trial * k_users, (trial + 1) * k_users)
@@ -325,7 +330,12 @@ def draw_channels(c: ExperimentConfig, spec: DistributionSpec,
                 gain_rng = trial_rng(c.seed, f"gain{k}", trial)
                 gains[row] = (equal_path_gains(paths, gain_rng) if equal_gains
                               else rician_path_gains(c.kappa_db, paths - 1, gain_rng))
-        vectors[users] = channel_vectors(cfg, thetas[users], ranges[users], gains[users])
+    vectors = np.empty((rows, cfg.num_antennas), dtype=np.complex128)
+
+    def assemble(step):
+        vectors[step] = channel_vectors(cfg, thetas[step], ranges[step], gains[step])
+
+    run_steps(rows, max(1, _PATH_ROWS // paths), assemble)
     return ChannelArrays(thetas, ranges, gains, vectors)
 
 

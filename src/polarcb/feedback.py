@@ -11,7 +11,7 @@ import numpy as np
 from .array_model import ArrayConfig, _phase_diff_exact, antenna_offsets, steering_matrix_exact
 from .channels import ChannelArrays, ChannelRealization, channel_vectors
 from .codebooks import PolarCodebook, grid_locations
-from .parallel import available_cpus, single_blas, thread_map
+from .parallel import available_cpus, run_steps, single_blas, thread_map
 
 
 class ZFSingularError(RuntimeError):
@@ -824,8 +824,10 @@ def run_protocol(cfg: ArrayConfig, users, cb1: PolarCodebook | None, cb2: RVQCod
 
 
 _PATH_ROWS = 48
-"""Steering rows per step of `multipath_feedback_batch` (16 channels of 3 paths): each of
-its (48, M) complex temporaries is about 300 kB at M = 387, whatever the channel count."""
+"""Steering rows per step of channel assembly (16 channels of 3 paths), in
+`multipath_feedback_batch` and `experiments.draw_channels`: the steps are pool
+jobs (`parallel.run_steps`), and each of a step's (48, M) complex temporaries is
+about 300 kB at M = 387, whatever the channel or CPU count."""
 
 
 def nearest_index(values: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -887,7 +889,8 @@ def multipath_feedback_batch(cfg: ArrayConfig, channels: ChannelArrays, gains_ha
     Each path's angle is quantized to the nearest angle sample, its range to
     the nearest sample in inverse range, and the path gains are `gains_hat`
     (`quantize_path_gains`).  The reconstructions are built `_PATH_ROWS`
-    steering rows at a time and written to `out` (N, M) when it is given.
+    steering rows per step, the steps on the shared pool, and written to
+    `out` (N, M) when it is given.
     """
     n, paths = channels.thetas.shape
     ai = nearest_index(channels.thetas.ravel(), cb1.angle_samples).reshape(n, paths)
@@ -895,14 +898,15 @@ def multipath_feedback_batch(cfg: ArrayConfig, channels: ChannelArrays, gains_ha
     ri = nearest_index(1.0 / channels.ranges.ravel(), inv_samples).reshape(n, paths)
     thetas, ranges = cb1.angle_samples[ai], cb1.range_samples[ri]
     corr = np.empty(n)
-    step = max(1, _PATH_ROWS // paths)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+
+    def build(rows):
         h_hat = channel_vectors(cfg, thetas[rows], ranges[rows], gains_hat[rows])
         if out is not None:
             out[rows] = h_hat
-        for i, (hh, h) in enumerate(zip(h_hat, channels.vectors[rows]), lo):
+        for i, (hh, h) in enumerate(zip(h_hat, channels.vectors[rows]), rows.start):
             corr[i] = abs(np.vdot(hh, h)) / (np.linalg.norm(hh) * np.linalg.norm(h))
+
+    run_steps(n, max(1, _PATH_ROWS // paths), build)
     return corr
 
 

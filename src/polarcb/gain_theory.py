@@ -80,8 +80,12 @@ def gain_thresholds(cfg: ArrayConfig) -> tuple[float, float]:
 
     Located by bracketed root-finding on the numerical derivative of the
     axis slice.  For the angle axis this is the main-lobe null, for the
-    range axis the first smooth local minimum of the chirped sum.
+    range axis the first smooth local minimum of the chirped sum.  Needs
+    M >= 3: below, f is constant and has no stationary point to find.
     """
+    if cfg.num_antennas < 3:
+        raise ValueError("gain thresholds need num_antennas >= 3: below, the gain "
+                         "surrogate is constant")
     # search out to a few main-lobe widths; both slices flatten well inside
     angle_hi = 12.0 / cfg.num_antennas
     eps_theta_th = _first_derivative_root(lambda e: f_gain(cfg, e, 0.0), angle_hi)

@@ -1,17 +1,17 @@
-"""The phase-1 scan's thread pool.
+"""polarcb's thread pool: the phase-1 scan, and channel assembly from drawn or fed-back paths.
 
 Threads pay off here because the work is numpy ufuncs and BLAS calls, which
-release the GIL.  The scan fixes how work is split, so results never depend
-on the number of threads.
+release the GIL.  Each caller fixes how its work is split, so results never
+depend on the number of threads.
 
 A pool owns the cores while it runs: numpy's OpenBLAS, which would start one
 thread per CPU for every call a worker makes, runs with its thread count
 divided among the workers, and gets its count back when the last pool joins.
 Phase-2 selection's small products on the calling thread run in a
 `single_blas` section: each such call would wake OpenBLAS's idle threads for
-a product too small to share, and they then spin beside the scan's workers.  Library callers may run scans on several
-threads at once, so pools and sections that overlap or nest share one count
-under a lock.
+a product too small to share, and they then spin beside the scan's workers.
+Library callers may run scans on several threads at once, so pools and
+sections that overlap or nest share one count under a lock.
 """
 
 from __future__ import annotations
@@ -129,3 +129,26 @@ def thread_map(workers: int):
     with _blas_shared(lambda prior: prior // workers), \
             ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool.map
+
+
+def run_steps(n: int, step: int, fn) -> None:
+    """Call fn(rows) for each slice `rows` of `step` consecutive indices of range(n).
+
+    The steps run on a pool of min(available_cpus(), steps) workers, a
+    contiguous run of steps per job, about two jobs per worker.  The slices
+    depend on `step` alone, so what fn writes to the disjoint rows of its
+    slice does not depend on the CPU count.  An exception in fn propagates.
+    """
+    starts = range(0, n, step)
+    if not starts:
+        return
+    workers = min(available_cpus(), len(starts))
+    run = -(-len(starts) // (2 * workers))
+
+    def job(first):
+        for lo in starts[first:first + run]:
+            fn(slice(lo, lo + step))
+
+    with thread_map(workers) as pmap:
+        for _ in pmap(job, range(0, len(starts), run)):
+            pass

@@ -1045,6 +1045,34 @@ def test_scan_memory_grows_by_a_fixed_allowance_per_row(cfg129, region, monkeypa
         < (hi - lo) * allowance
 
 
+def test_path_feedback_memory_grows_by_a_fixed_allowance_per_channel(cfg129, region,
+                                                                      monkeypatch):
+    # per channel the pass keeps its correlation (8 bytes) and, per path, the
+    # nearest samples and their searches' temporaries (under 64 bytes); the
+    # steering rows and reconstructions stay at `_PATH_ROWS` rows whatever N.
+    # One worker, so that the peak does not depend on how the jobs overlap.
+    monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda: 1)
+    cb = scheme_codebook(cfg129, region, "geometric", 5, 3)
+    rng = np.random.default_rng(4)
+    lo, hi, paths = 256, 2048, 3
+    arrays = ChannelArrays(rng.uniform(-0.5, 0.5, (hi, paths)),
+                           rng.uniform(4.0, 120.0, (hi, paths)),
+                           rng.standard_normal((hi, paths)) + 1j * rng.standard_normal((hi, paths)),
+                           rng.standard_normal((hi, 129)) + 1j * rng.standard_normal((hi, 129)))
+
+    def peak(n):
+        part = ChannelArrays(arrays.thetas[:n], arrays.ranges[:n], arrays.gains[:n],
+                             arrays.vectors[:n])
+        tracemalloc.start()
+        try:
+            multipath_feedback_batch(cfg129, part, part.gains, cb)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(hi) - peak(lo) < (hi - lo) * (8 + 64 * paths)
+
+
 @pytest.mark.parametrize("pruned", [True, False])
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_scan_matches_per_ring_scan_around_a_row_block(cfg129, region, monkeypatch, pruned,

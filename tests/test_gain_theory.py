@@ -52,6 +52,19 @@ def test_threshold_values_and_shrinkage(cfg387):
     assert big_r < th_r
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_thresholds_need_three_antennas(cfg387, m):
+    # below three elements f is constant (and the range window would divide
+    # by zero at n_half = 0), so the function itself rejects the array
+    with pytest.raises(ValueError, match="num_antennas >= 3"):
+        gain_thresholds(cfg387.with_antennas(m))
+
+
+def test_thresholds_at_three_antennas(cfg387):
+    pair = gain_thresholds(cfg387.with_antennas(3))
+    assert len(pair) == 2 and all(np.isfinite(pair)) and min(pair) > 0
+
+
 def test_threshold_grid_in_steps_matches_scalar_calls(cfg387, monkeypatch):
     # the grid goes through f_gain in steps of points; every value, and so
     # every threshold, is bit for bit that of one scalar call per point

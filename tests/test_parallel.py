@@ -5,10 +5,12 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+import polarcb.experiments as experiments
 import polarcb.feedback as feedback
 from polarcb import PolarCoord, PolarRegion, parallel, rvq_generate, scheme_codebook
 from polarcb.array_model import steering_matrix_exact
-from polarcb.channels import los_channel
+from polarcb.channels import channel_vectors, los_channel
+from polarcb.experiments import ExperimentConfig
 from polarcb.feedback import RVQCodebook, best_codeword_scan, run_protocol_batch
 
 BLAS = parallel._openblas()
@@ -214,3 +216,78 @@ def test_pool_without_openblas_runs_unchanged(monkeypatch, recorded_pools):
     assert recorded_pools == [2]
     with parallel.single_blas():
         assert (BLAS[0]() if BLAS else None) == before
+
+
+def test_run_steps_covers_each_step_once(monkeypatch, recorded_pools):
+    for cpus, n, step, pools in ((3, 10, 3, [3]), (2, 10, 3, [2]), (1, 10, 3, []),
+                                 (4, 2, 3, []), (2, 0, 3, [])):
+        monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+        recorded_pools.clear()
+        seen, lock = [], threading.Lock()
+
+        def record(rows):
+            with lock:
+                seen.append((rows.start, rows.stop))
+
+        parallel.run_steps(n, step, record)
+        assert sorted(seen) == [(lo, lo + step) for lo in range(0, n, step)]
+        assert recorded_pools == pools
+
+
+def _serial_steps(n, step, fn):
+    "`parallel.run_steps` one step after another on the calling thread."
+    for lo in range(0, n, step):
+        fn(slice(lo, lo + step))
+
+
+def _path_run(c, cb):
+    "The drawn vectors, and `multipath_feedback_batch`'s reconstructions and correlations."
+    channels = experiments.draw_channels(c, c.distribution_spec())
+    out = np.empty_like(channels.vectors)
+    corr = feedback.multipath_feedback_batch(c.array_config(), channels, channels.gains, cb, out)
+    return channels.vectors.tobytes(), out.tobytes(), corr.tobytes()
+
+
+@pytest.mark.parametrize("paths,n", [(1, 37), (3, 37), (1, 101)])
+def test_path_assembly_independent_of_cpu_count(cfg129, region, monkeypatch, recorded_pools,
+                                                 paths, n):
+    # the last step is partial: 37 channels are 16 + 16 + 5 at three paths
+    # and one step at one; 101 are 48 + 48 + 5 at one
+    c = ExperimentConfig(num_antennas=129, k_users=1, l_paths=paths, n_trials=n, seed=4,
+                         distribution="gmm", gmm_components="0.5:15:5;0.5:60:20")
+    assert c.array_config() == cfg129
+    cb = scheme_codebook(cfg129, region, "geometric", 5, 3)
+    steps = -(-n // (feedback._PATH_ROWS // paths))
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+        recorded_pools.clear()
+        runs.append(_path_run(c, cb))
+        # one pool for the draw and one for the feedback pass
+        assert recorded_pools == ([min(cpus, steps)] * 2 if min(cpus, steps) > 1 else [])
+    for module in (experiments, feedback):
+        monkeypatch.setattr(module, "run_steps", _serial_steps)
+    assert runs == [_path_run(c, cb)] * 3
+
+
+def test_path_step_exception_propagates_from_the_pool(cfg129, region, monkeypatch,
+                                                      recorded_pools):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    c = ExperimentConfig(num_antennas=129, k_users=1, l_paths=3, n_trials=37, seed=4)
+    channels = experiments.draw_channels(c, c.distribution_spec())
+    cb = scheme_codebook(cfg129, region, "geometric", 5, 3)
+
+    def failing(cfg, thetas, *args):
+        if len(thetas) < 16:
+            raise FloatingPointError("the partial step failed")
+        return channel_vectors(cfg, thetas, *args)
+
+    recorded_pools.clear()
+    for module, call in ((feedback, lambda: feedback.multipath_feedback_batch(
+            cfg129, channels, channels.gains, cb)),
+                         (experiments, lambda: experiments.draw_channels(
+            c, c.distribution_spec()))):
+        monkeypatch.setattr(module, "channel_vectors", failing)
+        with pytest.raises(FloatingPointError, match="partial step"):
+            call()
+    assert recorded_pools == [2, 2]
