@@ -881,6 +881,21 @@ def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
     return out
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[i] @ b[i] of two (N, M) arrays, one matmul call.
+
+    matmul takes each row pair to the BLAS dot that `ndarray.dot` calls for
+    two vectors, so every entry has the bits of that per-row call; the call
+    releases the GIL for the whole batch.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    "Row-wise `np.linalg.norm` of a complex (N, M) array, with the same bits: sqrt(re.re + im.im)."
+    return np.sqrt(_row_dots(x.real, x.real) + _row_dots(x.imag, x.imag))
+
+
 def multipath_feedback_batch(cfg: ArrayConfig, channels: ChannelArrays, gains_hat: np.ndarray,
                              cb1: PolarCodebook, out: np.ndarray | None = None) -> np.ndarray:
     """Per-path parametric feedback for N multi-path channels; returns their (N,)
@@ -903,8 +918,10 @@ def multipath_feedback_batch(cfg: ArrayConfig, channels: ChannelArrays, gains_ha
         h_hat = channel_vectors(cfg, thetas[rows], ranges[rows], gains_hat[rows])
         if out is not None:
             out[rows] = h_hat
-        for i, (hh, h) in enumerate(zip(h_hat, channels.vectors[rows]), rows.start):
-            corr[i] = abs(np.vdot(hh, h)) / (np.linalg.norm(hh) * np.linalg.norm(h))
+        h = channels.vectors[rows]
+        # the per-row np.vdot(h_hat, h), |.| and np.linalg.norm, bit for bit, without the GIL
+        inner = _row_dots(h_hat.conj(), h)
+        corr[rows] = np.hypot(inner.real, inner.imag) / (_row_norms(h_hat) * _row_norms(h))
 
     run_steps(n, max(1, _PATH_ROWS // paths), build)
     return corr

@@ -833,6 +833,21 @@ def test_batched_multipath_feedback_matches_reference(cfg129, region):
                                   rvq_generate(paths, 6, "isotropic", 8))
 
 
+@pytest.mark.parametrize("m", [1, 7, 129, 387, 1025])
+def test_row_dots_and_norms_have_the_per_row_bits(m):
+    # the per-path correlations use these in place of a per-row np.vdot and
+    # np.linalg.norm; scales far apart exercise every rounding of the sums
+    rng = np.random.default_rng(m)
+    scale = 10.0 ** rng.uniform(-6, 6, (21, 1))
+    a = (rng.standard_normal((21, m)) + 1j * rng.standard_normal((21, m))) * scale
+    b = rng.standard_normal((21, m)) + 1j * rng.standard_normal((21, m))
+    assert _bits(feedback._row_dots(a.conj(), b)) == _bits([np.vdot(x, y) for x, y in zip(a, b)])
+    assert _bits(feedback._row_norms(a)) == _bits([np.linalg.norm(x) for x in a])
+    inner = feedback._row_dots(a.conj(), b)
+    assert _bits(np.hypot(inner.real, inner.imag)) == _bits([abs(np.vdot(x, y))
+                                                            for x, y in zip(a, b)])
+
+
 def test_batched_multipath_feedback_ties_and_unsorted_samples(cfg129):
     # a path exactly between two angle samples and, in 1/r, between 4 m and infinity
     assert 0.5 - 0.25 == 0.75 - 0.5 and 1 / 4 - 1 / 8 == 1 / 8 - 0.0
