@@ -67,6 +67,8 @@ class GaussianMixtureRange:
             raise ValueError("need at least one component")
         if any(c[2] <= 0 for c in comps):
             raise ValueError("component std must be positive")
+        if not all(c[0] >= 0 for c in comps):
+            raise ValueError("component weights must be non-negative")
         if abs(sum(c[0] for c in comps) - 1.0) > 1e-9:
             raise ValueError("component weights must sum to 1")
 
@@ -133,6 +135,20 @@ def _rejection_ranges(count, rng, draw, lo, hi) -> np.ndarray:
     return out[:count]
 
 
+def _mixture_draw(spec: GaussianMixtureRange):
+    """A mixture's `draw(n, rng)` for `_rejection_ranges`: the draws, and generator state, of
+    rng.choice(len(w), n, p=w) and rng.normal(mu[comp], sd[comp]), its cdf built once."""
+    w, mu, sd = np.array(spec.components).T
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+
+    def draw(n, rng):
+        comp = cdf.searchsorted(rng.random(n), side="right")
+        return mu[comp] + sd[comp] * rng.standard_normal(n)
+
+    return draw
+
+
 def sample_locations(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     """Draw `count` user locations; returns an (count, 2) array of (theta, r).
 
@@ -155,15 +171,7 @@ def sample_locations(spec: DistributionSpec, count: int, seed) -> np.ndarray:
                               lambda n, g: g.normal(spec.mean, spec.std, n),
                               reg.r_min, reg.r_max)
     elif isinstance(spec, GaussianMixtureRange):
-        w = np.array([c[0] for c in spec.components])
-        mu = np.array([c[1] for c in spec.components])
-        sd = np.array([c[2] for c in spec.components])
-
-        def draw(n, g):
-            comp = g.choice(len(w), size=n, p=w)
-            return g.normal(mu[comp], sd[comp])
-
-        r = _rejection_ranges(count, rng, draw, reg.r_min, reg.r_max)
+        r = _rejection_ranges(count, rng, _mixture_draw(spec), reg.r_min, reg.r_max)
     else:
         raise TypeError(f"unknown distribution spec {type(spec).__name__}")
     return np.column_stack([theta, r])

@@ -19,8 +19,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .array_model import ArrayConfig, PolarRegion
-from .allocation import mean_best_gain, optimize_allocation
+from .array_model import ArrayConfig, PolarRegion, steering_matrix_exact
+from .allocation import _mean_gain, mean_best_gain, optimize_allocation
 from .channels import (ChannelArrays, channel_vectors, equal_path_gains,
                        rician_path_gains)
 from .codebooks import SCHEMES, PolarCodebook, scheme_codebook
@@ -379,14 +379,16 @@ def _gain_rows(c: ExperimentConfig, key: str, sweep_values, points_for, train=No
     Each sweep value replaces the config field `key`; `points_for(sub, value)`
     gives the user locations for the replaced config `sub`, and `train` the
     `extended` scheme's training ranges when `key` leaves the location law as it is.
+    The users' steering vectors are built once per sweep value, for every scheme.
     """
     rows = []
     for value in sweep_values:
         sub = replace(c, **{key: value})
         pts = points_for(sub, value)
+        vecs = steering_matrix_exact(sub.array_config(), pts[:, 0], pts[:, 1])
         for scheme in sorted(c.schemes):
             cb = build_scheme_codebook(sub, scheme, train)
-            rows.append((value, scheme, "beamforming_gain", *mean_best_gain(cb, pts)))
+            rows.append((value, scheme, "beamforming_gain", *_mean_gain(cb, vecs)))
     return rows
 
 

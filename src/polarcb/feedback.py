@@ -127,9 +127,10 @@ def _fold(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold_rows(rows: np.ndarray) -> np.ndarray:
-    "Rows in the layout of `_fold` with halved sums and differences (the centre entry as it is)."
-    out = _fold(0.5 * rows, np.empty_like(rows))
+def _fold_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows in the layout of `_fold` with halved sums and differences (the centre entry
+    as it is), formed in the dtype of `rows` and cast once into `out` (or a new array)."""
+    out = _fold(0.5 * rows, np.empty_like(rows) if out is None else out)
     h = rows.shape[1] // 2
     out[:, h:rows.shape[1] - h] = rows[:, h:rows.shape[1] - h]
     return out
@@ -247,10 +248,15 @@ def _bulk_error_bound(cfg: ArrayConfig, rows: np.ndarray, mismatch: float = 0.0)
     E = ||v|| sqrt(M) (sqrt(2) gamma_{2 n_s + 4} + 4u + eps_trig + mismatch),
     about half of the unfolded product's sqrt(2) gamma_{2M + 2}.
     """
+    reach = np.linalg.norm(rows, axis=1) * np.sqrt(cfg.num_antennas)
+    return reach * _bulk_error_rel(cfg, mismatch)
+
+
+def _bulk_error_rel(cfg: ArrayConfig, mismatch: float = 0.0) -> float:
+    "The bound E of `_bulk_error_bound` in units of ||v|| sqrt(M)."
     n = 2 * ((cfg.num_antennas + 1) // 2) + 4
     gamma = n * _U32 / (1.0 - n * _U32)
-    rel = np.sqrt(2.0) * gamma + 4.0 * _U32 + _EPS_TRIG + mismatch
-    return np.linalg.norm(rows, axis=1) * np.sqrt(cfg.num_antennas) * rel
+    return np.sqrt(2.0) * gamma + 4.0 * _U32 + _EPS_TRIG + mismatch
 
 
 _PAIR_TOL = 8 * 2.0**-52
@@ -424,7 +430,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     come first, so a chunk's mirrored codewords are a prefix of it.
 
     Pass A (only when G > 1) scores each set's representative, and its
-    mirror if it has one, once; a job takes the sets of G chunks.  It keeps
+    mirror if it has one, once; a job takes the sets of a run of whole
+    chunks, at most G of them, and about two jobs per worker (as
+    `parallel.run_steps` splits its steps).  It keeps
     each row's best bulk score `top` and, per row and chunk, the largest
     score + ||v|| sqrt(M) rho over the chunk's sets and over both signs,
     rounded upward to float32; its jobs return both per row block and the
@@ -450,15 +458,18 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     run through the folded grid in flat order.
 
     Pass C rescores the surviving (row, codeword) pairs in float64, in flat
-    order, in steps of at most min(block, _RESCORE_PAIRS) pairs, and keeps
-    per row the largest gain, the lowest flat index among equal gains.
+    order, in steps of at most min(block, _RESCORE_PAIRS) pairs, at least two
+    per worker where there are that many pairs, and keeps per row the
+    largest gain, the lowest flat index among equal gains.
     Which pairs survive may vary with BLAS's summation order and with the
     order the chunks finish in, but neither the gain of a pair nor the set
     of pairs reaching the maximum, so results depend neither on the number
     of CPUs nor on BLAS's thread count.
 
     Every pass runs on up to block // min(block, SCAN_CHUNK) threads, one
-    per available CPU (numpy's ufuncs and BLAS release the GIL).  A job
+    per available CPU (numpy's ufuncs and BLAS release the GIL), and so does
+    the rows' set-up before them: the pool's first map scales, folds and
+    casts the rows `_ROW_BLOCK` at a time, with their E.  A job
     builds at most step codewords (a chunk, or the representatives of G
     chunks), so at most block / 2 are in flight, and scores them
     `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
@@ -479,21 +490,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     step = max(1, chunk // 2)
     best = np.zeros(n)
     best_idx = np.zeros(n, dtype=np.int64)
-
-    peak = np.zeros(n)
-    for lo in range(0, n, _ROW_BLOCK):
-        peak[lo:lo + _ROW_BLOCK] = np.abs(vectors[lo:lo + _ROW_BLOCK]).max(axis=1)
-    live = np.flatnonzero(peak > 0)
-    blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(live), _ROW_BLOCK)]
-    rows32 = np.empty((len(live), m), np.complex64)
-    margin, reach = np.empty(len(live)), np.empty(len(live))
-    mismatch = _mirror_mismatch(cfg, angle_samples, lead, mirror)
-    for rows in blocks:
-        scaled = _pow2_scaled(vectors[live[rows]])
-        rows32[rows] = _fold_rows(scaled)
-        margin[rows] = 2.0 * _bulk_error_bound(cfg, scaled, mismatch)
-        reach[rows] = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
-    everyone = np.arange(len(live))
+    rel = _bulk_error_rel(cfg, _mirror_mismatch(cfg, angle_samples, lead, mirror))
 
     group = _cluster_size(cfg, lead_angles, len(mirror), step)
     rep, radius, sizes = _angle_clusters(cfg, lead_angles, group, len(mirror))
@@ -504,13 +501,22 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     n_sets = len(rep) * nq
     n_chunks = -(-n_sets // per)
     paired_sets = -(-len(mirror) // group) * nq        # the sets of paired clusters
-    top = np.full(len(live), -np.inf)
-    bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
+    workers = max(1, min(available_cpus(), block // chunk, n_chunks))
+    run = max(1, min(group, -(-n_chunks // (2 * workers))))     # chunks per pass-A job
+    rows32 = np.empty((n, m), np.complex64)
+    margin, reach = np.empty(n), np.empty(n)
+
+    def prepare(rows):
+        "Rows `rows` scaled (`_pow2_scaled`), folded and cast; their ||v|| sqrt(M) and margins 2E."
+        scaled = _pow2_scaled(vectors[rows])
+        _fold_rows(scaled, rows32[rows])
+        reach[rows] = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
+        margin[rows] = 2.0 * (reach[rows] * rel)        # `_bulk_error_bound`, doubled
 
     def pass_a(k, tiles):
-        """The representatives of chunks k..k+G-1, per row block: the rows, their
+        """The representatives of chunks k..k+run-1, per row block: the rows, their
         best bulk scores and their bounds for those chunks."""
-        cluster, ring = np.divmod(np.arange(k * per, min((k + group) * per, n_sets)), nq)
+        cluster, ring = np.divmod(np.arange(k * per, min((k + run) * per, n_sets)), nq)
         mirrored = min(max(paired_sets - k * per, 0), len(ring))
         cw = _bulk_fold_codewords(cfg, lead_angles[rep[cluster]], range_samples[ring], tiles)
         found = []
@@ -578,11 +584,19 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             found.append((part[row], flat[col], g[row, col]))
         return (rows, np.concatenate(tops), *map(np.concatenate, zip(*found)))
 
-    workers = min(available_cpus(), block // chunk, n_chunks)
     spare = []                        # the jobs' tile sets, one per worker
     with thread_map(workers) as pmap:
+        for _ in pmap(prepare, [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]):
+            pass
+        live = np.flatnonzero(reach > 0)               # all-zero rows keep gain 0 at index 0
+        if len(live) < n:
+            rows32, margin, reach = rows32[live], margin[live], reach[live]
+        blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(live), _ROW_BLOCK)]
+        everyone = np.arange(len(live))
+        top = np.full(len(live), -np.inf)
+        bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
         if group > 1:
-            for k, found in pmap(_tiled(pass_a, spare), range(0, n_chunks, group)):
+            for k, found in pmap(_tiled(pass_a, spare), range(0, n_chunks, run)):
                 for rows, s_top, b in found:
                     np.maximum(top[rows], s_top, out=top[rows])
                     bound[k:k + len(b), rows] = b
@@ -598,7 +612,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
-        pairs = min(chunk, _RESCORE_PAIRS)
+        pairs = min(chunk, _RESCORE_PAIRS, max(1, len(rows) // (2 * workers)))
         rescored = list(pmap(_tiled(lambda i, tiles: _rescore(
             cfg, vectors, angle_samples, range_samples, rows[i:i + pairs], flats[i:i + pairs],
             tiles), spare), range(0, len(rows), pairs)))

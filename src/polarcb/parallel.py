@@ -1,8 +1,10 @@
 """polarcb's thread pool: the phase-1 scan, and channel assembly from drawn or fed-back paths.
 
 Threads pay off here because the work is numpy ufuncs and BLAS calls, which
-release the GIL.  Each caller fixes how its work is split, so results never
-depend on the number of threads.
+release the GIL.  Each caller fixes the boundaries its results depend on, so
+they never depend on the number of threads; only the grouping into jobs
+does: about two per worker where the work allows (`run_steps`, the scan's
+passes A and C), so that a worker the host slows leaves little to wait for.
 
 A pool owns the cores while it runs: numpy's OpenBLAS, which would start one
 thread per CPU for every call a worker makes, runs with its thread count

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from polarcb import ArrayConfig, UniformPolar, estimate_gain_mc, optimize_allocation, scheme_codebook
-from polarcb.distributions import Empirical
+from polarcb.allocation import mean_best_gain
+from polarcb.distributions import Empirical, sample_locations
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +15,6 @@ def test_estimate_gain_perfect_codebook(region, small_setup):
     cfg, dist = small_setup
     pts = np.array([[0.1, 20.0]])
     cb = scheme_codebook(cfg, region, "geometric", 3, 2)
-    from polarcb.allocation import mean_best_gain
     # codebook containing the exact location gives gain 1
     from polarcb.codebooks import PolarCodebook
     exact = PolarCodebook(cfg, np.array([0.1]), np.array([20.0]))
@@ -41,6 +41,17 @@ def test_allocation_table(small_setup):
     table = res.table_dict()
     assert table[(res.p_opt, res.q_opt)][0] == max(v[0] for v in table.values())
     assert {p for p, _, _, _ in res.gain_table} == set(range(7))
+
+
+def test_allocation_table_is_the_per_split_mean_gain(region, small_setup):
+    # the sweep builds the users' steering vectors once: the same bytes as
+    # `mean_best_gain` building them for every split
+    cfg, dist = small_setup
+    res = optimize_allocation(6, dist, cfg, n_mc=150, seed=5)
+    pts = sample_locations(dist, 150, 5)
+    assert res.gain_table == tuple(
+        (p, 6 - p, *mean_best_gain(scheme_codebook(cfg, region, "geometric", p, 6 - p), pts))
+        for p in range(7))
 
 
 def test_allocation_minimal_budget(small_setup):

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +72,33 @@ def test_every_workload_config_loads(tmp_path, size):
         path = tmp_path / f"{name}.cfg"
         path.write_text(workload.config_text(0, size))
         load_config(path, workload.command)
+
+
+def test_allocation_scans_one_split_at_a_time_in_split_order(monkeypatch):
+    # The tracer folds each phase-1 index array into the run's digest when
+    # `best_codeword_scan` returns, in return order (`Tracer.digest`).  Splits
+    # scanned at once would make the committed reference digest depend on
+    # which split finished first.
+    from polarcb import ArrayConfig, PolarRegion, UniformPolar, allocation
+
+    lock = threading.Lock()
+    events = []
+    scan = allocation.best_codeword_scan
+
+    def recorded(cfg, vectors, angle_samples, range_samples, *args, **kwargs):
+        split = (len(angle_samples), len(range_samples))
+        with lock:
+            events.append(("enter", split))
+        try:
+            time.sleep(0.01)            # room for another split to enter meanwhile
+            return scan(cfg, vectors, angle_samples, range_samples, *args, **kwargs)
+        finally:
+            with lock:
+                events.append(("exit", split))
+
+    monkeypatch.setattr(allocation, "best_codeword_scan", recorded)
+    b1 = 5
+    allocation.optimize_allocation(b1, UniformPolar(PolarRegion(-0.5, 0.5, 4.0, 120.0)),
+                                   ArrayConfig(33, carrier_frequency=30e9), 40, 3)
+    assert events == [(kind, (2**p, 2**(b1 - p))) for p in range(b1 + 1)
+                      for kind in ("enter", "exit")]

@@ -94,10 +94,51 @@ def test_validation_errors(region):
         TruncatedGaussianRange(region, 20.0, 0.0)
     with pytest.raises(ValueError):
         GaussianMixtureRange(region, ((0.5, 10.0, 5.0),))
+    for weight in (-0.5, float("nan")):     # rng.choice rejected these at the first draw
+        with pytest.raises(ValueError, match="non-negative"):
+            GaussianMixtureRange(region, ((1.0 - weight, 10.0, 5.0), (weight, 60.0, 9.0)))
     with pytest.raises(ValueError):
         Empirical(np.empty((0, 2)))
     with pytest.raises(ValueError):
         sample_locations(UniformPolar(region), 0, 1)
+
+
+_MIXTURES = (((0.6, 15.0, 5.0), (0.4, 80.0, 20.0)),
+             ((0.2, 10.0, 3.0), (0.0, 40.0, 9.0), (0.3, 50.0, 10.0), (0.5, 100.0, 30.0)),
+             ((1.0, 30.0, 7.0),))
+
+
+@pytest.mark.parametrize("components", _MIXTURES)
+@pytest.mark.parametrize("count", [1, 5, 1024, 3000])
+def test_mixture_draws_are_those_of_choice_and_normal(region, components, count):
+    # the mixture's draws, and the generator state after them, are pinned to
+    # the numpy calls they stand for, so that every mixture sample keeps its bits
+    from polarcb.distributions import _mixture_draw
+
+    spec = GaussianMixtureRange(region, components)
+    w, mu, sd = np.array(components).T
+    draw = _mixture_draw(spec)
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        comp = ref.choice(len(w), size=count, p=w)
+        assert np.array_equal(draw(count, rng), ref.normal(mu[comp], sd[comp]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("components", _MIXTURES)
+def test_mixture_samples_are_those_of_choice_and_normal(region, components):
+    spec = GaussianMixtureRange(region, components)
+    w, mu, sd = np.array(components).T
+    for count, seed in [(1, 0), (5, 1), (1000, 2), (3000, 3)]:
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(region.theta_min, region.theta_max, count)
+        r = np.empty(0)
+        while r.size < count:
+            comp = rng.choice(len(w), size=max(count, 1024), p=w)
+            cand = rng.normal(mu[comp], sd[comp])
+            r = np.concatenate([r, cand[(cand >= region.r_min) & (cand <= region.r_max)]])
+        assert np.array_equal(sample_locations(spec, count, seed),
+                              np.column_stack([theta, r[:count]]))
 
 
 def test_rejection_sampling_is_bounded(region):

@@ -231,6 +231,9 @@ def _main_within(argv, seconds):
 @pytest.mark.parametrize("lines", [
     "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\ngmm_components = 0.5:10\n",
     "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\ngmm_components = 1:x:3\n",
+    # a negative weight: a ValueError traceback at the first draw
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\n"
+    "gmm_components = 1.5:15:5;-0.5:60:20\n",
     "experiment = gain_vs_q\nsweep = 2\ndistribution = hotspot\nhot_lo = 200\n",
     # no mass inside [4, 120]: rejection sampling used to spin forever
     "experiment = gain_vs_q\nsweep = 2\ndistribution = gaussian\n"

@@ -3,6 +3,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -222,6 +223,52 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
     # a job builds half of its SCAN_CHUNK codewords and scores the rest as mirrors
     assert feedback.SCAN_CHUNK // 2 < live[1] <= block
     assert live[0] == 0
+
+
+@pytest.fixture
+def recorded_maps(monkeypatch):
+    "Job counts of the maps the scan's pools run, in order."
+    counts = []
+    pool = feedback.thread_map
+
+    @contextmanager
+    def counting(workers):
+        with pool(workers) as pmap:
+            def counted(fn, items):
+                items = list(items)
+                counts.append(len(items))
+                return pmap(fn, items)
+            yield counted
+
+    monkeypatch.setattr(feedback, "thread_map", counting)
+    return counts
+
+
+def test_scan_gives_every_worker_jobs_in_every_pass(cfg129, region, monkeypatch,
+                                                    recorded_pools, recorded_maps):
+    # G = 8 over 8 chunks, whose pass A used to be one job of all 8 chunks'
+    # representatives, and 12 rows, whose few survivors used to be one
+    # rescoring step: now runs of at most G chunks, about two per worker, and
+    # at least two steps per worker, with the bytes of one CPU
+    cb = scheme_codebook(cfg129, region, "geometric", 11, 2)
+    lead, mirror = feedback._mirror_pairs(cb.angle_samples)
+    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror)) == 8
+    vecs = _scan_vectors(cfg129, region, 3)
+    runs = []
+    for cpus, pass_a in ((1, 2), (2, 4), (3, 4)):
+        monkeypatch.setattr(feedback, "available_cpus", lambda cpus=cpus: cpus)
+        recorded_maps.clear()
+        runs.append(best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples))
+        setup, jobs_a, chunks, steps = recorded_maps
+        assert (setup, jobs_a, chunks) == (1, pass_a, 8)
+        assert steps >= 2 * cpus                      # each row keeps at least one pair
+    assert recorded_pools == [2, 3]
+    for gain, idx in runs:
+        assert np.array_equal(gain, runs[0][0])
+        assert np.array_equal(idx, runs[0][1])
+    ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
+    assert np.array_equal(runs[0][1], ref_idx)
+    assert np.abs(runs[0][0] - ref_gain).max() <= 1e-12
 
 
 def test_scan_tie_across_chunks_of_two_workers(cfg129, monkeypatch, recorded_pools):
