@@ -168,8 +168,8 @@ def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
         raise ConfigError("threads must be >= 1")
     if c.threads != 1:
         warnings.warn("threads is deprecated and has no effect: trials draw in one thread, "
-                      "and the phase-1 scan and the channel assembly size their own pools",
-                      FutureWarning)
+                      "and the phase-1 scan and the channel assembly run on one worker "
+                      "per available CPU", FutureWarning)
     if c.seed < 0:
         raise ConfigError("seed must be >= 0")
     if c.k_users < 1 or c.l_paths < 1:

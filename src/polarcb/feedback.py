@@ -4,6 +4,8 @@ quantization, zero-forcing digital beamforming and per-user rates."""
 from __future__ import annotations
 
 import math
+import threading
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +57,10 @@ class _Tiles:
     """Scratch arrays of a phase-1 scan job, which the scan's later jobs reuse.
 
     numpy maps a fresh array of a megabyte or more from the system, and every
-    job would page-fault it in again; a job instead borrows a tile set
-    (`_tiled`) and returns it when done, so a scan maps one set per worker.
-    A tile grows when a job needs more than it holds; tiles are bytes,
-    viewed as the dtype a job asks for.
+    job would page-fault it in again; a scan instead keeps one tile set per
+    worker thread, which that thread's jobs use in turn, and drops the sets
+    when it returns.  A tile grows when a job needs more than it holds; tiles
+    are bytes, viewed as the dtype a job asks for.
     """
 
     def __init__(self):
@@ -71,22 +73,6 @@ class _Tiles:
         if buf is None or buf.size < nbytes:
             buf = self._arrays[name] = np.empty(nbytes, np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
-
-
-def _tiled(job, spare: list):
-    """`job(item, tiles)` as a job of one argument that borrows a tile set from
-    `spare` (or a new one) while it runs.  `spare` ends up with as many sets
-    as jobs ran at once."""
-    def run(item):
-        try:
-            tiles = spare.pop()
-        except IndexError:
-            tiles = _Tiles()
-        try:
-            return job(item, tiles)
-        finally:
-            spare.append(tiles)
-    return run
 
 
 def _bulk_conj_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -137,7 +123,7 @@ def _fold_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _bulk_fold_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray,
-                         tiles: _Tiles | None = None) -> np.ndarray:
+                         tiles: _Tiles) -> np.ndarray:
     """`_bulk_conj_codewords` in the layout of `_fold`, built `_BUILD_STEP` codewords at a time.
 
     With `_fold_rows` rows, the sum half and the difference half of a
@@ -145,7 +131,7 @@ def _bulk_fold_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray,
     the product with its antenna reversal J c (see `_bulk_scores`).
     The result is tile "chunk" of `tiles`.
     """
-    cw = (tiles or _Tiles()).get("chunk", (len(theta), cfg.num_antennas), np.complex64)
+    cw = tiles.get("chunk", (len(theta), cfg.num_antennas), np.complex64)
     for lo in range(0, len(theta), _BUILD_STEP):
         part = slice(lo, lo + _BUILD_STEP)
         _fold(_bulk_conj_codewords(cfg, theta[part], r[part]), cw[part])
@@ -153,7 +139,7 @@ def _bulk_fold_codewords(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray,
 
 
 def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
-                 tiles: _Tiles | None = None) -> np.ndarray:
+                 tiles: _Tiles) -> np.ndarray:
     """Bulk scores of `_fold_rows` rows, cast to complex64, against `_bulk_fold_codewords`.
 
     Returns (rows, len(cw32) + mirrored) float64 scores: |S + A| against
@@ -169,7 +155,6 @@ def _bulk_scores(rows32: np.ndarray, cw32: np.ndarray, mirrored: int,
     half is all zero skips the A product: |S| is bit for bit the |S + A|
     it stands for.
     """
-    tiles = tiles or _Tiles()
     n, r = len(cw32), len(rows32)
     half = (rows32.shape[1] + 1) // 2
     s = np.matmul(rows32[:, :half], cw32[:, :half].T, out=tiles.get("s", (r, n), np.complex64))
@@ -366,7 +351,7 @@ def _cluster_size(cfg: ArrayConfig, angle_samples, split: int = 0,
 
 
 def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples,
-             rows: np.ndarray, flats: np.ndarray, tiles: _Tiles | None = None) -> np.ndarray:
+             rows: np.ndarray, flats: np.ndarray, tiles: _Tiles) -> np.ndarray:
     """Float64 gains |v^H b| of (row, flat index) pairs.
 
     Each distinct codeword is built once with `steering_matrix_exact`; each
@@ -376,7 +361,6 @@ def _rescore(cfg: ArrayConfig, vectors: np.ndarray, angle_samples, range_samples
     survivors `_RESCORE_PAIRS` at a time: three (pairs, M) complex128 arrays,
     4.8 MB at M = 387, two of them in the "chunk" and "scores" tiles.
     """
-    tiles = tiles or _Tiles()
     uniq, inv = np.unique(flats, return_inverse=True)
     cw = steering_matrix_exact(cfg, *grid_locations(angle_samples, range_samples, uniq))
     np.conjugate(cw, out=cw)
@@ -466,19 +450,19 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     of pairs reaching the maximum, so results depend neither on the number
     of CPUs nor on BLAS's thread count.
 
-    Every pass runs on up to block // min(block, SCAN_CHUNK) threads, one
-    per available CPU (numpy's ufuncs and BLAS release the GIL), and so does
-    the rows' set-up before them: the pool's first map scales, folds and
-    casts the rows `_ROW_BLOCK` at a time, with their E.  A job
-    builds at most step codewords (a chunk, or the representatives of G
-    chunks), so at most block / 2 are in flight, and scores them
+    Every pass runs on the process's pool of up to block // min(block,
+    SCAN_CHUNK) threads, one per available CPU (numpy's ufuncs and BLAS
+    release the GIL), and so does the rows' set-up before them: the first
+    map scales, folds and casts the rows `_ROW_BLOCK` at a time, with their
+    E.  A job builds at most step codewords (a chunk, or the representatives
+    of G chunks), so at most block / 2 are in flight, and scores them
     `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
     (8 M bytes per codeword), the tile of its half-cluster representatives
     (8 M bytes each, 2 step / G of them) and 40 bytes per codeword and row
-    of one row block (S, A, S - A and both moduli), held in tiles that the
-    worker's next job reuses (`_Tiles`).  Growing with n are a folded complex64 copy
-    of the rows (8 M bytes per row), a few float64 per row, the pass-A
-    bound (4 bytes per row and chunk) and the survivors (24 bytes each).
+    of one row block (S, A, S - A and both moduli), in its thread's tile set
+    for the scan (`_Tiles`).  Growing with n are a folded complex64 copy of
+    the rows (8 M bytes per row), a few float64 per row, the pass-A bound (4
+    bytes per row and chunk) and the survivors (24 bytes each).
     """
     vectors = np.atleast_2d(vectors)
     n, m = vectors.shape
@@ -513,9 +497,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         reach[rows] = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
         margin[rows] = 2.0 * (reach[rows] * rel)        # `_bulk_error_bound`, doubled
 
-    def pass_a(k, tiles):
+    def pass_a(k):
         """The representatives of chunks k..k+run-1, per row block: the rows, their
         best bulk scores and their bounds for those chunks."""
+        tiles = tile_sets[threading.get_ident()]
         cluster, ring = np.divmod(np.arange(k * per, min((k + run) * per, n_sets)), nq)
         mirrored = min(max(paired_sets - k * per, 0), len(ring))
         cw = _bulk_fold_codewords(cfg, lead_angles[rep[cluster]], range_samples[ring], tiles)
@@ -549,8 +534,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             met.append(part[s.max(axis=1) >= floor[part]])
         return np.concatenate(met)
 
-    def score(k, tiles):
+    def score(k):
         "Chunk k against the rows that meet it: their best bulk scores and survivors."
+        tiles = tile_sets[threading.get_ident()]
         rows = np.flatnonzero(bound[k] >= floor) if group > 1 else everyone
         if not len(rows):
             return rows, np.empty(0), rows, rows, np.empty(0)
@@ -584,10 +570,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             found.append((part[row], flat[col], g[row, col]))
         return (rows, np.concatenate(tops), *map(np.concatenate, zip(*found)))
 
-    spare = []                        # the jobs' tile sets, one per worker
+    tile_sets = defaultdict(_Tiles)   # the jobs' tile sets, one per worker thread
     with thread_map(workers) as pmap:
-        for _ in pmap(prepare, [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]):
-            pass
+        list(pmap(prepare, [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]))
         live = np.flatnonzero(reach > 0)               # all-zero rows keep gain 0 at index 0
         if len(live) < n:
             rows32, margin, reach = rows32[live], margin[live], reach[live]
@@ -596,26 +581,26 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         top = np.full(len(live), -np.inf)
         bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
         if group > 1:
-            for k, found in pmap(_tiled(pass_a, spare), range(0, n_chunks, run)):
+            for k, found in pmap(pass_a, range(0, n_chunks, run)):
                 for rows, s_top, b in found:
                     np.maximum(top[rows], s_top, out=top[rows])
                     bound[k:k + len(b), rows] = b
         floor = top - margin
         final = top.copy()
         parts = [(everyone[:0], everyone[:0], np.empty(0))]
-        for rows, chunk_top, row, flat, s in pmap(_tiled(score, spare), range(n_chunks)):
+        for rows, chunk_top, row, flat, s in pmap(score, range(n_chunks)):
             final[rows] = np.maximum(final[rows], chunk_top)
             kept = s >= (final - margin)[row]
             parts.append((row[kept], flat[kept], s[kept]))
-        spare.clear()                 # free pass B's tiles before the survivors merge
+        tile_sets.clear()             # free pass B's tiles before the survivors merge
         rows, flats, scores = map(np.concatenate, zip(*parts))
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
         pairs = min(chunk, _RESCORE_PAIRS, max(1, len(rows) // (2 * workers)))
-        rescored = list(pmap(_tiled(lambda i, tiles: _rescore(
+        rescored = list(pmap(lambda i: _rescore(
             cfg, vectors, angle_samples, range_samples, rows[i:i + pairs], flats[i:i + pairs],
-            tiles), spare), range(0, len(rows), pairs)))
+            tile_sets[threading.get_ident()]), range(0, len(rows), pairs)))
     gains = np.concatenate([np.empty(0), *rescored])
     pick = np.lexsort((flats, -gains, rows))
     first = np.ones(len(pick), dtype=bool)

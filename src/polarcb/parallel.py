@@ -1,18 +1,19 @@
-"""polarcb's thread pool: the phase-1 scan, and channel assembly from drawn or fed-back paths.
+"""polarcb's thread pools: the phase-1 scan, and channel assembly from drawn or fed-back paths.
 
 Threads pay off here because the work is numpy ufuncs and BLAS calls, which
 release the GIL.  Each caller fixes the boundaries its results depend on, so
 they never depend on the number of threads; only the grouping into jobs
 does: about two per worker where the work allows (`run_steps`, the scan's
 passes A and C), so that a worker the host slows leaves little to wait for.
+The jobs of every map with W workers run on the process's one pool of W.
 
-A pool owns the cores while it runs: numpy's OpenBLAS, which would start one
+A map owns the cores while it runs: numpy's OpenBLAS, which would start one
 thread per CPU for every call a worker makes, runs with its thread count
-divided among the workers, and gets its count back when the last pool joins.
+divided among the workers, and gets its count back when the last map ends.
 Phase-2 selection's small products on the calling thread run in a
 `single_blas` section: each such call would wake OpenBLAS's idle threads for
 a product too small to share, and they then spin beside the scan's workers.
-Library callers may run scans on several threads at once, so pools and
+Library callers may run scans on several threads at once, so maps and
 sections that overlap or nest share one count under a lock.
 """
 
@@ -22,7 +23,7 @@ import ctypes
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 _THREAD_SYMBOLS = (
@@ -117,40 +118,52 @@ def single_blas():
     return _blas_shared(lambda prior: 1)
 
 
+_pool = functools.cache(ThreadPoolExecutor)       # one pool per worker count, made on first use
+os.register_at_fork(after_in_child=_pool.cache_clear)   # a forked child has none of the threads
+
+
 @contextmanager
 def thread_map(workers: int):
     """An ordered map for the `with` block: map(fn, items) yields fn(item) in item order.
 
-    The calls run on `workers` threads that serve every map made in the
-    block; with one worker (or fewer) they run inline, without a pool.  While
-    the pool runs, OpenBLAS's threads are shared among its workers.
+    The calls run on the process's pool of `workers` threads (inline with one
+    worker or fewer), which share OpenBLAS's threads.  However the block
+    ends, it cancels the jobs not yet started and waits for those running.
     """
     if workers <= 1:
         yield map
         return
-    with _blas_shared(lambda prior: prior // workers), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
+    pool, maps = _pool(workers), []
+
+    def pmap(fn, *iterables):
+        jobs = [pool.submit(fn, *args) for args in zip(*iterables)][::-1]
+        maps.append(jobs)
+        while jobs:
+            jobs[-1].result()                 # a job stays on the books until it has ended
+            yield jobs.pop().result()
+
+    with _blas_shared(lambda prior: prior // workers):
+        try:
+            yield pmap
+        finally:
+            wait([job for jobs in maps for job in jobs if not job.cancel()])
 
 
 def run_steps(n: int, step: int, fn) -> None:
     """Call fn(rows) for each slice `rows` of `step` consecutive indices of range(n).
 
-    The steps run on a pool of min(available_cpus(), steps) workers, a
-    contiguous run of steps per job, about two jobs per worker.  The slices
-    depend on `step` alone, so what fn writes to the disjoint rows of its
-    slice does not depend on the CPU count.  An exception in fn propagates.
+    The steps run on the process's pool of min(available_cpus(), steps)
+    workers, a contiguous run of steps per job, about two jobs per worker.
+    The slices depend on `step` alone, so what fn writes to the disjoint rows
+    of its slice does not depend on the CPU count; exceptions propagate.
     """
     starts = range(0, n, step)
-    if not starts:
-        return
-    workers = min(available_cpus(), len(starts))
-    run = -(-len(starts) // (2 * workers))
+    workers = max(1, min(available_cpus(), len(starts)))
+    run = max(1, -(-len(starts) // (2 * workers)))
 
     def job(first):
         for lo in starts[first:first + run]:
             fn(slice(lo, lo + step))
 
     with thread_map(workers) as pmap:
-        for _ in pmap(job, range(0, len(starts), run)):
-            pass
+        list(pmap(job, range(0, len(starts), run)))

@@ -22,13 +22,10 @@ def region():
 
 @pytest.fixture
 def recorded_pools(monkeypatch):
-    "Worker counts of the thread pools polarcb starts, in order; no real pool changes."
+    """Worker counts of the `thread_map` sections that run on a pool (more than
+    one worker), in order; the pools themselves are the process's own."""
     sizes = []
-
-    class Recorder(polarcb.parallel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(polarcb.parallel, "ThreadPoolExecutor", Recorder)
+    pool = polarcb.parallel._pool
+    monkeypatch.setattr(polarcb.parallel, "_pool",
+                        lambda workers: sizes.append(workers) or pool(workers))
     return sizes

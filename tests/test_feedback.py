@@ -316,9 +316,9 @@ def test_bulk_score_error_within_bound(region, m):
     cw32 = feedback._bulk_conj_codewords(cfg, theta, r)
     assert np.abs(cw32 - np.sqrt(m) * cb.codewords.conj()).max() <= feedback._EPS_TRIG
     # every codeword folded, scored as itself and as its mirror at -theta
-    folded = feedback._bulk_fold_codewords(cfg, theta, r)
+    folded = feedback._bulk_fold_codewords(cfg, theta, r, feedback._Tiles())
     bulk = feedback._bulk_scores(feedback._fold_rows(scaled).astype(np.complex64), folded,
-                                 len(cb))
+                                 len(cb), feedback._Tiles())
     for cw, got in ((cb.codewords, bulk[:, :len(cb)]),
                     (steering_matrix_exact(cfg, -theta, r), bulk[:, len(cb):])):
         exact = np.abs(scaled @ cw.conj().T) * np.sqrt(m)
@@ -457,11 +457,12 @@ def test_scan_of_theta_zero_takes_one_product_per_row_block(cfg129, region, monk
     # |S| is the same bytes as |S + A| from both products
     monkeypatch.undo()
     half = (cfg129.num_antennas + 1) // 2
-    cw32 = feedback._bulk_fold_codewords(cfg129, np.zeros(len(ranges)), ranges)
+    cw32 = feedback._bulk_fold_codewords(cfg129, np.zeros(len(ranges)), ranges, feedback._Tiles())
     rows32 = feedback._fold_rows(feedback._pow2_scaled(vecs)).astype(np.complex64)
     assert not cw32[:, half:].any()
     both = (rows32[:, :half] @ cw32[:, :half].T) + (rows32[:, half:] @ cw32[:, half:].T)
-    assert scores(rows32, cw32, 0).tobytes() == np.abs(both, dtype=np.float64).tobytes()
+    assert (scores(rows32, cw32, 0, feedback._Tiles()).tobytes()
+            == np.abs(both, dtype=np.float64).tobytes())
 
 
 @pytest.mark.parametrize("scheme", ["geometric", "dft", "hybrid"])
@@ -1261,7 +1262,7 @@ def test_scan_builds_half_of_a_symmetric_grid(cfg129, region, monkeypatch):
 
 
 def test_scan_jobs_share_one_tile_set_per_worker(cfg129, region, monkeypatch):
-    # 16 jobs of passes A, B and C on two workers borrow and return scratch
+    # 16 jobs of passes A, B and C on two workers use their thread's scratch
     # tiles: passes A and B make at most two sets, pass C at most two more,
     # and no two jobs write one set at once
     made = []

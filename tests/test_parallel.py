@@ -1,5 +1,8 @@
+import os
+import signal
 import sys
 import threading
+import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -46,6 +49,29 @@ def test_blas_count_restored_when_a_job_raises(blas_count):
         with parallel.thread_map(2) as pmap:     # the block raises with a map under way
             next(pmap(lambda _: blas_count(), range(4)))
             1 / 0
+    assert blas_count() == 4
+
+
+@needs_openblas
+def test_raising_map_waits_for_its_running_jobs(blas_count):
+    # one job raises while the other still runs: the block re-raises only
+    # once that job has ended, with OpenBLAS's count still shared until then
+    started, finished, inside = threading.Event(), threading.Event(), []
+
+    def job(item):
+        if item == "raise":
+            started.wait(10)
+            raise ZeroDivisionError
+        started.set()
+        time.sleep(0.2)
+        inside.append(blas_count())
+        finished.set()
+
+    with pytest.raises(ZeroDivisionError):
+        with parallel.thread_map(2) as pmap:
+            list(pmap(job, ["raise", "sleep"]))
+    assert finished.is_set()
+    assert inside == [2]
     assert blas_count() == 4
 
 
@@ -232,6 +258,56 @@ def test_run_steps_covers_each_step_once(monkeypatch, recorded_pools):
         parallel.run_steps(n, step, record)
         assert sorted(seen) == [(lo, lo + step) for lo in range(0, n, step)]
         assert recorded_pools == pools
+
+
+def test_scans_and_steps_reuse_one_pool_of_threads(cfg129, monkeypatch):
+    # two scans and a run of steps at two workers: every call's jobs run on
+    # the same two threads, and no thread starts after the first call
+    monkeypatch.setattr(feedback, "available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    calls = []
+    scores = feedback._bulk_scores
+
+    def note():
+        calls[-1].add(threading.get_ident())
+        time.sleep(0.01)                  # hold the job so that both workers take some
+
+    monkeypatch.setattr(feedback, "_bulk_scores", lambda *args: note() or scores(*args))
+    h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
+    scan = lambda: best_codeword_scan(cfg129, h, np.linspace(-0.5, 0.5, 3000), np.array([30.0]))
+    started, start = [], threading.Thread.start
+    for call in (scan, scan, lambda: parallel.run_steps(4, 1, lambda rows: note())):
+        calls.append(set())
+        call()
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+    assert started == []
+    assert len(calls[0]) == 2 and calls == [calls[0]] * 3
+    assert threading.get_ident() not in calls[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_child_maps_on_a_pool_of_its_own():
+    # a child forked after a map has none of the parent's pool threads: its
+    # maps must start their own, not queue jobs that no thread serves
+    both = threading.Barrier(2)
+    with parallel.thread_map(2) as pmap:              # both threads of the pool start
+        list(pmap(lambda _: both.wait(10), range(2)))
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with parallel.thread_map(2) as pmap:
+                code = 0 if list(pmap(abs, [-3, -4])) == [3, 4] else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _serial_steps(n, step, fn):
