@@ -282,21 +282,28 @@ def dft_angle_codebook(cfg: ArrayConfig, region: PolarRegion, total_bits: int) -
 
 
 def load_codebook_csv(cfg: ArrayConfig, path: str | Path) -> PolarCodebook:
-    "Rebuild a codebook from its CSV location table."
-    thetas, ranges = [], []
+    """Rebuild a codebook from its CSV location table.
+
+    The rows must be the whole grid in flat order, as `save_csv` writes it:
+    `index` runs 0..n-1 and each row is `locations(index)` of the rebuilt codebook.
+    """
+    index, thetas, ranges = [], [], []
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != "index,theta,range_m":
             raise ValueError(f"{path}: expected header 'index,theta,range_m'")
         for line in fh:
-            _, th, rr = line.strip().split(",")
+            i, th, rr = line.strip().split(",")
+            index.append(int(i))
             thetas.append(float(th))
             ranges.append(float(rr))
     angle_samples = np.unique(thetas)
     range_samples = np.array(sorted(set(ranges), key=lambda x: (np.isinf(x), x)))
-    if len(angle_samples) * len(range_samples) != len(thetas):
-        raise ValueError(f"{path}: rows do not form an angle x range grid")
-    return PolarCodebook(cfg, angle_samples, range_samples)
+    cb = PolarCodebook(cfg, angle_samples, range_samples)
+    if index != list(range(len(index))) or not np.array_equal(
+            cb.locations(np.arange(len(cb))), (thetas, ranges)):
+        raise ValueError(f"{path}: rows are not an angle x range grid in flat index order")
+    return cb
 
 
 def load_codebook_binary(path: str | Path):

@@ -13,7 +13,7 @@ import numpy as np
 from .array_model import ArrayConfig, _phase_diff_exact, antenna_offsets, steering_matrix_exact
 from .channels import ChannelArrays, ChannelRealization, channel_vectors
 from .codebooks import PolarCodebook, grid_locations
-from .parallel import available_cpus, run_steps, single_blas, thread_map
+from .parallel import available_cpus, run_steps, thread_map
 
 
 class ZFSingularError(RuntimeError):
@@ -727,14 +727,15 @@ def _rvq_pick(g: np.ndarray, codewords: np.ndarray) -> np.ndarray:
 
     The one RVQ selector: phase 2, `phase2_select` and `quantize_path_gains`
     all pick through it.  One matrix product per step of `_PHASE2_SCORES`
-    scores, on one OpenBLAS thread (`single_blas`); ties pick the lowest index.
+    scores; ties pick the lowest index.  The products run on one OpenBLAS
+    thread once the process has run a map of more than one worker (see
+    `parallel`): phase 2 follows its scan's map, path gains `draw_channels`'.
     """
     n_trials, k_users, dim = g.shape
     step = max(1, _PHASE2_SCORES // (k_users * len(codewords)))
-    with single_blas():
-        return np.concatenate([
-            np.abs(g[t:t + step].reshape(-1, dim) @ codewords.T).argmax(axis=1)
-            for t in range(0, n_trials, step)]).reshape(n_trials, k_users)
+    return np.concatenate([
+        np.abs(g[t:t + step].reshape(-1, dim) @ codewords.T).argmax(axis=1)
+        for t in range(0, n_trials, step)]).reshape(n_trials, k_users)
 
 
 @dataclass(frozen=True, eq=False)
@@ -863,7 +864,8 @@ def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
     phase-aligned to the row and scaled to its norm.
 
     The directions come from `_rvq_pick`, as `phase2_select` picks them, with
-    all N channels in steps of `_PHASE2_SCORES` scores on one OpenBLAS thread.
+    all N channels in steps of `_PHASE2_SCORES` scores, on one OpenBLAS thread
+    after the process's first map of more than one worker.
     The quantized gains depend on neither the location codebook nor its bits,
     so a run quantizes each channel once.
     """

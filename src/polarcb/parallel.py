@@ -7,14 +7,12 @@ does: about two per worker where the work allows (`run_steps`, the scan's
 passes A and C), so that a worker the host slows leaves little to wait for.
 The jobs of every map with W workers run on the process's one pool of W.
 
-A map owns the cores while it runs: numpy's OpenBLAS, which would start one
-thread per CPU for every call a worker makes, runs with its thread count
-divided among the workers, and gets its count back when the last map ends.
-Phase-2 selection's small products on the calling thread run in a
-`single_blas` section: each such call would wake OpenBLAS's idle threads for
-a product too small to share, and they then spin beside the scan's workers.
-Library callers may run scans on several threads at once, so maps and
-sections that overlap or nest share one count under a lock.
+The pools own the cores: the first map of more than one worker sets numpy's
+OpenBLAS to one thread per call for the rest of the process.  At its full
+count OpenBLAS would start one thread per CPU for every call a worker makes,
+and the small products on the calling thread after a map (phase 2's RVQ
+products, the path gains') would wake its idle threads to spin beside the
+workers for work too small to share.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -31,10 +28,6 @@ _THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
 )
 "OpenBLAS's (get, set) thread-count functions, as plain builds and numpy's wheels name them."
-
-_blas_lock = threading.Lock()
-_blas_sections = 0
-_blas_prior = 0
 
 
 def available_cpus() -> int:
@@ -78,46 +71,6 @@ def _openblas():
     return None
 
 
-@contextmanager
-def _blas_shared(threads):
-    """OpenBLAS runs with max(1, threads(prior)) threads per call inside the block.
-
-    `prior` is OpenBLAS's count when the first of the open sections opened; a
-    section never raises the count, and the last one to close restores it.
-    Without a known OpenBLAS the block runs as it is.
-    """
-    global _blas_sections, _blas_prior
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    with _blas_lock:
-        if _blas_sections == 0:
-            _blas_prior = get()
-        _blas_sections += 1
-        cap = max(1, threads(_blas_prior))
-        if cap < get():
-            set_(cap)
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_sections -= 1
-            if _blas_sections == 0:
-                set_(_blas_prior)
-
-
-def single_blas():
-    """A section in which OpenBLAS runs one thread per call (see `_blas_shared`).
-
-    For products on the calling thread far too small to gain from BLAS
-    threads, which would otherwise wake OpenBLAS's idle threads to spin
-    beside the work of other threads.
-    """
-    return _blas_shared(lambda prior: 1)
-
-
 _pool = functools.cache(ThreadPoolExecutor)       # one pool per worker count, made on first use
 os.register_at_fork(after_in_child=_pool.cache_clear)   # a forked child has none of the threads
 
@@ -127,12 +80,16 @@ def thread_map(workers: int):
     """An ordered map for the `with` block: map(fn, items) yields fn(item) in item order.
 
     The calls run on the process's pool of `workers` threads (inline with one
-    worker or fewer), which share OpenBLAS's threads.  However the block
-    ends, it cancels the jobs not yet started and waits for those running.
+    worker or fewer), and from then on OpenBLAS runs one thread per call (see
+    the module docstring).  However the block ends, it cancels the jobs not
+    yet started and waits for those running.
     """
     if workers <= 1:
         yield map
         return
+    blas = _openblas()
+    if blas is not None and blas[0]() > 1:
+        blas[1](1)
     pool, maps = _pool(workers), []
 
     def pmap(fn, *iterables):
@@ -142,11 +99,10 @@ def thread_map(workers: int):
             jobs[-1].result()                 # a job stays on the books until it has ended
             yield jobs.pop().result()
 
-    with _blas_shared(lambda prior: prior // workers):
-        try:
-            yield pmap
-        finally:
-            wait([job for jobs in maps for job in jobs if not job.cancel()])
+    try:
+        yield pmap
+    finally:
+        wait([job for jobs in maps for job in jobs if not job.cancel()])
 
 
 def run_steps(n: int, step: int, fn) -> None:

@@ -262,6 +262,13 @@ def test_codebook_csv_roundtrip(cfg129, region, tmp_path):
     assert np.array_equal(loaded.angle_samples, cb.angle_samples)
     assert np.array_equal(loaded.range_samples, cb.range_samples)
     assert np.array_equal(loaded.codewords, cb.codewords)
+    # a file that is not the grid in flat order: repeated points that fake
+    # a 2 x 2 grid, and a range-major grid whose index column disagrees
+    for rows in (["0,0.1,10.0", "1,0.1,10.0", "2,0.2,20.0", "3,0.2,20.0"],
+                 ["0,0.1,10.0", "1,0.2,10.0", "2,0.1,20.0", "3,0.2,20.0"]):
+        path.write_text("index,theta,range_m\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="flat index order"):
+            load_codebook_csv(cfg129, path)
 
 
 def test_codebook_binary_roundtrip(cfg129, region, tmp_path):
