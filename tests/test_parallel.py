@@ -1,5 +1,6 @@
 import os
 import signal
+import sys
 import threading
 import time
 from contextlib import nullcontext
@@ -48,6 +49,20 @@ def test_pool_at_one_blas_thread_never_sets_the_count(monkeypatch):
 
 
 @needs_openblas
+def test_blas_count_stays_at_one_when_a_job_raises(blas_count):
+    with pytest.raises(ZeroDivisionError):
+        with parallel.thread_map(2) as pmap:
+            list(pmap(lambda x: 1 / x, [1, 0, 2]))
+    assert blas_count() == 1
+    BLAS[1](4)
+    with pytest.raises(ZeroDivisionError):
+        with parallel.thread_map(2) as pmap:     # the block raises with a map under way
+            assert next(pmap(lambda _: blas_count(), range(4))) == 1
+            1 / 0
+    assert blas_count() == 1
+
+
+@needs_openblas
 def test_raising_map_waits_for_its_running_jobs(blas_count):
     # one job raises while the other still runs: the block re-raises only
     # once that job has ended
@@ -76,6 +91,65 @@ def test_one_worker_leaves_blas_count_alone(blas_count):
         with parallel.thread_map(workers) as pmap:
             assert list(pmap(lambda _: blas_count(), range(3))) == [4, 4, 4]
     assert blas_count() == 4
+
+
+@needs_openblas
+def test_overlapping_pools_run_on_one_blas_thread(blas_count):
+    # pool a opens, pool b opens, a closes while b still runs, then b closes
+    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def pool_a():
+        with parallel.thread_map(2) as pmap:
+            a_open.set()
+            b_open.wait(10)
+            seen["a"] = set(pmap(lambda _: blas_count(), range(4)))
+        a_closed.set()
+
+    def pool_b():
+        a_open.wait(10)
+        with parallel.thread_map(4) as pmap:
+            b_open.set()
+            a_closed.wait(10)
+            seen["b"] = set(pmap(lambda _: blas_count(), range(4)))
+            with parallel.thread_map(2) as nested:
+                seen["b nested"] = set(nested(lambda _: blas_count(), range(4)))
+
+    threads = [threading.Thread(target=pool_a), threading.Thread(target=pool_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    assert seen == {"a": {1}, "b": {1}, "b nested": {1}}
+    assert blas_count() == 1
+
+
+@needs_openblas
+def test_maps_on_many_threads_stay_ordered_on_one_blas_thread(blas_count):
+    # 6 threads on 2 CPUs each open 20 maps of 2 or 3 workers at once: every
+    # map yields its own results in order, and every job runs on one thread
+    results, lock = [], threading.Lock()
+
+    def maps(workers):
+        for _ in range(20):
+            with parallel.thread_map(workers) as pmap:
+                out = list(pmap(lambda x: (x, blas_count()), range(6)))
+            with lock:
+                results.append(out)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=maps, args=(2 + i % 2,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[(x, 1) for x in range(6)]] * 120
+    assert blas_count() == 1
 
 
 @needs_openblas
