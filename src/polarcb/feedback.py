@@ -13,7 +13,7 @@ import numpy as np
 from .array_model import ArrayConfig, _phase_diff_exact, antenna_offsets, steering_matrix_exact
 from .channels import ChannelArrays, ChannelRealization, channel_vectors
 from .codebooks import PolarCodebook, grid_locations
-from .parallel import available_cpus, run_steps, thread_map
+from .parallel import _one_blas_thread, available_cpus, run_steps, thread_map
 
 
 class ZFSingularError(RuntimeError):
@@ -727,12 +727,12 @@ def _rvq_pick(g: np.ndarray, codewords: np.ndarray) -> np.ndarray:
 
     The one RVQ selector: phase 2, `phase2_select` and `quantize_path_gains`
     all pick through it.  One matrix product per step of `_PHASE2_SCORES`
-    scores; ties pick the lowest index.  The products run on one OpenBLAS
-    thread once the process has run a map of more than one worker (see
-    `parallel`): phase 2 follows its scan's map, path gains `draw_channels`'.
+    scores, on one OpenBLAS thread (`parallel._one_blas_thread`); ties pick
+    the lowest index.
     """
     n_trials, k_users, dim = g.shape
     step = max(1, _PHASE2_SCORES // (k_users * len(codewords)))
+    _one_blas_thread()
     return np.concatenate([
         np.abs(g[t:t + step].reshape(-1, dim) @ codewords.T).argmax(axis=1)
         for t in range(0, n_trials, step)]).reshape(n_trials, k_users)
@@ -864,8 +864,7 @@ def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
     phase-aligned to the row and scaled to its norm.
 
     The directions come from `_rvq_pick`, as `phase2_select` picks them, with
-    all N channels in steps of `_PHASE2_SCORES` scores, on one OpenBLAS thread
-    after the process's first map of more than one worker.
+    all N channels in steps of `_PHASE2_SCORES` scores on one OpenBLAS thread.
     The quantized gains depend on neither the location codebook nor its bits,
     so a run quantizes each channel once.
     """

@@ -7,12 +7,12 @@ does: about two per worker where the work allows (`run_steps`, the scan's
 passes A and C), so that a worker the host slows leaves little to wait for.
 The jobs of every map with W workers run on the process's one pool of W.
 
-The pools own the cores: the first map of more than one worker sets numpy's
-OpenBLAS to one thread per call for the rest of the process.  At its full
-count OpenBLAS would start one thread per CPU for every call a worker makes,
-and the small products on the calling thread after a map (phase 2's RVQ
-products, the path gains') would wake its idle threads to spin beside the
-workers for work too small to share.
+The pools own the cores: a map of more than one worker, and every RVQ pick,
+sets numpy's OpenBLAS to one thread per call for the rest of the process
+(`_one_blas_thread`).  At its full count OpenBLAS would start one thread per
+CPU for every call a worker makes, and the RVQ products on the calling
+thread, too small to share, would wake its idle threads to spin beside the
+workers.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def _openblas():
     return None
 
 
+def _one_blas_thread() -> None:
+    "Set numpy's OpenBLAS, where found and not at one already, to one thread per call."
+    blas = _openblas()
+    if blas is not None and blas[0]() > 1:
+        blas[1](1)
+
+
 _pool = functools.cache(ThreadPoolExecutor)       # one pool per worker count, made on first use
 os.register_at_fork(after_in_child=_pool.cache_clear)   # a forked child has none of the threads
 
@@ -80,16 +87,14 @@ def thread_map(workers: int):
     """An ordered map for the `with` block: map(fn, items) yields fn(item) in item order.
 
     The calls run on the process's pool of `workers` threads (inline with one
-    worker or fewer), and from then on OpenBLAS runs one thread per call (see
-    the module docstring).  However the block ends, it cancels the jobs not
+    worker or fewer); with more than one, OpenBLAS runs one thread per call
+    from then on (see the module docstring).  However the block ends, it cancels the jobs not
     yet started and waits for those running.
     """
     if workers <= 1:
         yield map
         return
-    blas = _openblas()
-    if blas is not None and blas[0]() > 1:
-        blas[1](1)
+    _one_blas_thread()
     pool, maps = _pool(workers), []
 
     def pmap(fn, *iterables):

@@ -185,24 +185,20 @@ def _recording(cb: RVQCodebook, count, fail: bool):
 @needs_openblas
 @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
 @pytest.mark.parametrize("caller", ["protocol", "path_gains"])
-def test_phase2_products_run_on_one_blas_thread(cfg129, blas_count, monkeypatch, fail, caller):
+def test_phase2_products_run_on_one_blas_thread(cfg129, blas_count, fail, caller):
     # RVQ products (phase 2's, and the path gains' through the same selector)
     # are far too small to share; at OpenBLAS's full count each would wake
-    # its idle threads beside the scan's workers.  Phase 2 follows its scan's
-    # map (2^12 codewords take several chunks), and path gains follow
-    # `draw_channels`' map in a run
-    monkeypatch.setattr(feedback, "available_cpus", lambda: 2)
+    # its idle threads beside the scan's workers.  Neither run maps here (the
+    # (4, 2) scan is one chunk), so the selector itself sets the count
     rng = np.random.default_rng(3)
     if caller == "protocol":
-        cb1 = scheme_codebook(cfg129, PolarRegion(-0.5, 0.5, 4.0, 120.0), "geometric", 9, 3)
+        cb1 = scheme_codebook(cfg129, PolarRegion(-0.5, 0.5, 4.0, 120.0), "geometric", 4, 2)
         vectors = steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, (3, 4)),
                                         rng.uniform(4.0, 120.0, (3, 4)))
         width, run = 4, lambda cb: run_protocol_batch(cfg129, vectors, cb1, cb).ghat
     else:
         gains = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         width, run = 3, lambda cb: feedback.quantize_path_gains(gains, cb)
-        with parallel.thread_map(2) as pmap:
-            list(pmap(abs, range(2)))
     cb2, phase2 = _recording(rvq_generate(width, 6, seed=1), blas_count, fail)
     with pytest.raises(FloatingPointError) if fail else nullcontext():
         picked = run(cb2)
