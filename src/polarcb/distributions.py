@@ -49,8 +49,8 @@ class TruncatedGaussianRange:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+        if not (math.isfinite(self.mean) and 0 < self.std < math.inf):
+            raise ValueError("mean must be finite and std positive and finite")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class GaussianMixtureRange:
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("need at least one component")
-        if any(c[2] <= 0 for c in comps):
-            raise ValueError("component std must be positive")
+        if not all(math.isfinite(mu) and 0 < sd < math.inf for _, mu, sd in comps):
+            raise ValueError("component means must be finite, and stds positive and finite")
         if not all(c[0] >= 0 for c in comps):
             raise ValueError("component weights must be non-negative")
         if abs(sum(c[0] for c in comps) - 1.0) > 1e-9:
@@ -85,6 +85,8 @@ class Empirical:
             raise ValueError("empirical point list must be nonempty")
         if pts.shape[1] != 2:
             raise ValueError("points must be (n, 2) pairs of (theta, r)")
+        if not (np.all(np.abs(pts[:, 0]) <= 1.0) and np.all(pts[:, 1] > 0)):
+            raise ValueError("points must lie in the polar domain: -1 <= theta <= 1 and r > 0")
         object.__setattr__(self, "points", pts)
 
 

@@ -13,7 +13,8 @@ import numpy as np
 from .array_model import ArrayConfig, _phase_diff_exact, antenna_offsets, steering_matrix_exact
 from .channels import ChannelArrays, ChannelRealization, channel_vectors
 from .codebooks import PolarCodebook, grid_locations
-from .parallel import _one_blas_thread, available_cpus, run_steps, thread_map
+from . import parallel
+from .parallel import _one_blas_thread, run_steps, thread_map
 
 
 class ZFSingularError(RuntimeError):
@@ -450,19 +451,19 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     of pairs reaching the maximum, so results depend neither on the number
     of CPUs nor on BLAS's thread count.
 
-    Every pass runs on the process's pool of up to block // min(block,
-    SCAN_CHUNK) threads, one per available CPU (numpy's ufuncs and BLAS
-    release the GIL), and so does the rows' set-up before them: the first
-    map scales, folds and casts the rows `_ROW_BLOCK` at a time, with their
-    E.  A job builds at most step codewords (a chunk, or the representatives
-    of G chunks), so at most block / 2 are in flight, and scores them
+    Every pass, and the rows' set-up before them (a map that scales, folds
+    and casts the rows `_ROW_BLOCK` at a time, with their E), runs on the
+    process's thread pool, one thread per available CPU (numpy's ufuncs and
+    BLAS release the GIL).  `block` bounds a job, not the number of jobs: a
+    job builds at most step codewords (a chunk, or the representatives of G
+    chunks), so at most step per worker are in flight, and scores them
     `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
     (8 M bytes per codeword), the tile of its half-cluster representatives
     (8 M bytes each, 2 step / G of them) and 40 bytes per codeword and row
     of one row block (S, A, S - A and both moduli), in its thread's tile set
-    for the scan (`_Tiles`).  Growing with n are a folded complex64 copy of
-    the rows (8 M bytes per row), a few float64 per row, the pass-A bound (4
-    bytes per row and chunk) and the survivors (24 bytes each).
+    (`_Tiles`).  Growing with n are a folded complex64 copy of the rows (8 M
+    bytes per row), a few float64 per row, the pass-A bound (4 bytes per row
+    and chunk) and the survivors (24 bytes each).
     """
     vectors = np.atleast_2d(vectors)
     n, m = vectors.shape
@@ -485,8 +486,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     n_sets = len(rep) * nq
     n_chunks = -(-n_sets // per)
     paired_sets = -(-len(mirror) // group) * nq        # the sets of paired clusters
-    workers = max(1, min(available_cpus(), block // chunk, n_chunks))
-    run = max(1, min(group, -(-n_chunks // (2 * workers))))     # chunks per pass-A job
+    run = max(1, min(group, -(-n_chunks // (2 * parallel.available_cpus()))))  # pass-A chunks
     rows32 = np.empty((n, m), np.complex64)
     margin, reach = np.empty(n), np.empty(n)
 
@@ -557,8 +557,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             part = rows[lo:lo + _ROW_BLOCK]
             g = _bulk_scores(rows32[part], cw, mirrored, tiles)
             part_top = g.max(axis=1)
-            # `final` is read while the main thread raises it: any value it
-            # held is some bulk score of the row, so a valid floor
+            # `final`, read while the main thread raises it, is some bulk score of the row: a valid
+            # floor, which drops most survivors early (with `top` alone and no filter on arrival,
+            # alloc_rings' peak RSS rose from 54 to 95-100 MB, wall time by 5%)
             least = np.maximum(part_top, final[part]) - margin[part]
             # only rows whose chunk maximum reaches their floor keep a score;
             # they alone are searched, copied out when they are few
@@ -571,7 +572,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         return (rows, np.concatenate(tops), *map(np.concatenate, zip(*found)))
 
     tile_sets = defaultdict(_Tiles)   # the jobs' tile sets, one per worker thread
-    with thread_map(workers) as pmap:
+    with thread_map() as pmap:
         list(pmap(prepare, [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]))
         live = np.flatnonzero(reach > 0)               # all-zero rows keep gain 0 at index 0
         if len(live) < n:
@@ -597,7 +598,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
-        pairs = min(chunk, _RESCORE_PAIRS, max(1, len(rows) // (2 * workers)))
+        pairs = min(chunk, _RESCORE_PAIRS, max(1, len(rows) // (2 * parallel.available_cpus())))
         rescored = list(pmap(lambda i: _rescore(
             cfg, vectors, angle_samples, range_samples, rows[i:i + pairs], flats[i:i + pairs],
             tile_sets[threading.get_ident()]), range(0, len(rows), pairs)))

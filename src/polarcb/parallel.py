@@ -1,18 +1,17 @@
-"""polarcb's thread pools: the phase-1 scan, and channel assembly from drawn or fed-back paths.
+"""polarcb's thread pool: the phase-1 scan, and channel assembly from drawn or fed-back paths.
 
 Threads pay off here because the work is numpy ufuncs and BLAS calls, which
 release the GIL.  Each caller fixes the boundaries its results depend on, so
 they never depend on the number of threads; only the grouping into jobs
 does: about two per worker where the work allows (`run_steps`, the scan's
 passes A and C), so that a worker the host slows leaves little to wait for.
-The jobs of every map with W workers run on the process's one pool of W.
+Every map runs on the process's one pool of `available_cpus()` threads.
 
-The pools own the cores: a map of more than one worker, and every RVQ pick,
-sets numpy's OpenBLAS to one thread per call for the rest of the process
+The pool owns the cores: every map on it, and every RVQ pick, sets numpy's
+OpenBLAS to one thread per call for the rest of the process
 (`_one_blas_thread`).  At its full count OpenBLAS would start one thread per
-CPU for every call a worker makes, and the RVQ products on the calling
-thread, too small to share, would wake its idle threads to spin beside the
-workers.
+CPU for every call a worker makes, and the RVQ products on the calling thread,
+too small to share, would wake its idle threads to spin beside the workers.
 """
 
 from __future__ import annotations
@@ -78,20 +77,20 @@ def _one_blas_thread() -> None:
         blas[1](1)
 
 
-_pool = functools.cache(ThreadPoolExecutor)       # one pool per worker count, made on first use
+_pool = functools.cache(ThreadPoolExecutor)       # of `available_cpus()` threads, made on first use
 os.register_at_fork(after_in_child=_pool.cache_clear)   # a forked child has none of the threads
 
 
 @contextmanager
-def thread_map(workers: int):
+def thread_map():
     """An ordered map for the `with` block: map(fn, items) yields fn(item) in item order.
 
-    The calls run on the process's pool of `workers` threads (inline with one
-    worker or fewer); with more than one, OpenBLAS runs one thread per call
-    from then on (see the module docstring).  However the block ends, it cancels the jobs not
-    yet started and waits for those running.
+    The calls run on the process's pool of `available_cpus()` threads (inline
+    on one CPU), and OpenBLAS runs one thread per call from then on (see the
+    module docstring).  However the block ends, it cancels the jobs not yet
+    started and waits for those running.
     """
-    if workers <= 1:
+    if (workers := available_cpus()) <= 1:
         yield map
         return
     _one_blas_thread()
@@ -113,18 +112,16 @@ def thread_map(workers: int):
 def run_steps(n: int, step: int, fn) -> None:
     """Call fn(rows) for each slice `rows` of `step` consecutive indices of range(n).
 
-    The steps run on the process's pool of min(available_cpus(), steps)
-    workers, a contiguous run of steps per job, about two jobs per worker.
-    The slices depend on `step` alone, so what fn writes to the disjoint rows
-    of its slice does not depend on the CPU count; exceptions propagate.
+    The steps run on the pool, a contiguous run of steps per job, about two
+    jobs per worker.  The slices depend on `step` alone, so what fn writes to
+    its slice's rows does not depend on the CPU count; exceptions propagate.
     """
     starts = range(0, n, step)
-    workers = max(1, min(available_cpus(), len(starts)))
-    run = max(1, -(-len(starts) // (2 * workers)))
+    run = max(1, -(-len(starts) // (2 * available_cpus())))
 
     def job(first):
         for lo in starts[first:first + run]:
             fn(slice(lo, lo + step))
 
-    with thread_map(workers) as pmap:
+    with thread_map() as pmap:
         list(pmap(job, range(0, len(starts), run)))

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import pytest
 
 import polarcb.parallel
@@ -21,9 +23,19 @@ def region():
 
 
 @pytest.fixture
+def threads_warning():
+    "threads -> a context that expects the deprecated-`threads` FutureWarning, unless it is 1."
+    def expect(threads):
+        if int(threads) == 1:
+            return nullcontext()
+        return pytest.warns(FutureWarning, match="threads is deprecated")
+    return expect
+
+
+@pytest.fixture
 def recorded_pools(monkeypatch):
-    """Worker counts of the `thread_map` sections that run on a pool (more than
-    one worker), in order; the pools themselves are the process's own."""
+    """Sizes of the pools that `thread_map` sections run on (none where a section
+    runs inline, on one CPU), in order; the pools themselves are the process's own."""
     sizes = []
     pool = polarcb.parallel._pool
     monkeypatch.setattr(polarcb.parallel, "_pool",

@@ -369,17 +369,19 @@ def test_criterion_14_multipath_ordering():
                    + "; ".join(details))
 
 
-def test_criterion_15_determinism(tmp_path):
+def test_criterion_15_determinism(tmp_path, threads_warning):
     base = dict(experiment="rate_vs_snr", num_antennas=129, p=8, q=2, k_users=3,
                 l_paths=2, n_trials=25, schemes=("geometric", "uniform", "full_csi"),
                 sweep=(10.0, 22.0), seed=SEED)
     t1 = run_experiment(ExperimentConfig(**base))
     t2 = run_experiment(ExperimentConfig(**base))
-    t4 = run_experiment(ExperimentConfig(**base, threads=4))
+    with threads_warning(4):
+        t4 = run_experiment(ExperimentConfig(**base, threads=4))
     files = []
     for threads in (1, 3):
         out = tmp_path / f"run_t{threads}.csv"
-        run_experiment(ExperimentConfig(**base, threads=threads, out=str(out)))
+        with threads_warning(threads):
+            run_experiment(ExperimentConfig(**base, threads=threads, out=str(out)))
         files.append(out.read_bytes())
     ok = t1 == t2 == t4 and files[0] == files[1]
     report(15, ok, "byte-identical CSV across reruns and --threads 1/3/4")

@@ -65,13 +65,15 @@ def test_multipath_feedback_keeps_its_signature():
 
 
 @pytest.mark.parametrize("size", ["full", "tiny"])
-def test_every_workload_config_loads(tmp_path, size):
-    from polarcb.experiments import load_config
+def test_every_workload_config_loads(tmp_path, threads_warning, size):
+    from polarcb.experiments import load_config, parse_config_text
 
     for name, workload in _load("workloads").WORKLOADS.items():
         path = tmp_path / f"{name}.cfg"
-        path.write_text(workload.config_text(0, size))
-        load_config(path, workload.command)
+        path.write_text(text := workload.config_text(0, size))
+        # rate_uniform sets the deprecated `threads`
+        with threads_warning(parse_config_text(text).get("threads", 1)):
+            load_config(path, workload.command)
 
 
 def test_allocation_scans_one_split_at_a_time_in_split_order(monkeypatch):

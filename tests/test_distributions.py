@@ -97,8 +97,19 @@ def test_validation_errors(region):
     for weight in (-0.5, float("nan")):     # rng.choice rejected these at the first draw
         with pytest.raises(ValueError, match="non-negative"):
             GaussianMixtureRange(region, ((1.0 - weight, 10.0, 5.0), (weight, 60.0, 9.0)))
+    nan, inf = float("nan"), float("inf")
+    for mean, std in ((nan, 5.0), (20.0, nan), (inf, 5.0), (20.0, inf)):
+        # a NaN mean or std made the truncation mass NaN, which passed its floor
+        with pytest.raises(ValueError, match="finite"):
+            TruncatedGaussianRange(region, mean, std)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMixtureRange(region, ((0.5, 30.0, 5.0), (0.5, mean, std)))
     with pytest.raises(ValueError):
         Empirical(np.empty((0, 2)))
+    for point in ((nan, 30.0), (0.2, nan), (0.2, -5.0), (0.2, 0.0), (3.0, 30.0), (-1.5, 30.0)):
+        with pytest.raises(ValueError, match="polar domain"):
+            Empirical(np.array([(0.0, 30.0), point]))
+    assert len(Empirical(np.array([(-1.0, 30.0), (1.0, np.inf)])).points) == 2
     with pytest.raises(ValueError):
         sample_locations(UniformPolar(region), 0, 1)
 

@@ -83,13 +83,14 @@ def test_validation_errors():
         validate_config(ExperimentConfig(r_min=-1.0))
 
 
-def test_rate_experiment_deterministic_and_thread_independent():
+def test_rate_experiment_deterministic_and_thread_independent(threads_warning):
     base = dict(experiment="rate_vs_snr", num_antennas=65, p=5, q=2, k_users=3,
                 l_paths=2, n_trials=6, schemes=("geometric", "full_csi"),
                 sweep=(10.0, 22.0), seed=3)
     t1 = run_experiment(ExperimentConfig(**base))
     t2 = run_experiment(ExperimentConfig(**base))
-    t3 = run_experiment(ExperimentConfig(**base, threads=3))
+    with threads_warning(3):
+        t3 = run_experiment(ExperimentConfig(**base, threads=3))
     assert t1 == t2 == t3
     assert t1.startswith("sweep_value,scheme,metric,mean,stderr,n_trials,seed\n")
     assert "full_csi" in t1 and "geometric" in t1
@@ -145,12 +146,13 @@ def _write(tmp_path, text):
     return str(path)
 
 
-def test_cli_simulate_and_exit_codes(tmp_path, capsys):
+def test_cli_simulate_and_exit_codes(tmp_path, capsys, threads_warning):
     cfg = _write(tmp_path, SMALL)
     out = tmp_path / "rows.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     first = out.read_bytes()
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    with threads_warning(2):
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
     assert out.read_bytes() == first
 
     assert main(["simulate", "--config", str(tmp_path / "missing.txt")]) == 2
@@ -235,6 +237,10 @@ def _main_within(argv, seconds):
     "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\n"
     "gmm_components = 1.5:15:5;-0.5:60:20\n",
     "experiment = gain_vs_q\nsweep = 2\ndistribution = hotspot\nhot_lo = 200\n",
+    # a NaN std or mean: the truncation mass was NaN, which passed its floor, and
+    # 50,000 rejection rounds ended in a ValueError traceback
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\ngmm_components = 1:20:nan\n",
+    "experiment = gain_vs_q\nsweep = 2\ndistribution = gmm\ngmm_components = 1:nan:5\n",
     # no mass inside [4, 120]: rejection sampling used to spin forever
     "experiment = gain_vs_q\nsweep = 2\ndistribution = gaussian\n"
     "gauss_mean = 5000\ngauss_std = 1\n",
@@ -332,6 +338,18 @@ empirical_csv = {users}
     out = tmp_path / "rows.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert "geometric" in out.read_text()
+
+
+@pytest.mark.parametrize("row", ["nan,30", "0.2,-5", "3.0,30"])
+def test_empirical_points_outside_the_polar_domain_are_config_errors(tmp_path, capsys, row):
+    # these ran with exit 0: the NaN and the negative range gave a wrong mean,
+    # with a RuntimeWarning, and |theta| > 1 was used as it was
+    users = tmp_path / "users.csv"
+    users.write_text(f"theta,r_m\n0.0,30.0\n{row}\n")
+    text = ("experiment = gain_vs_q\nnum_antennas = 33\np = 4\nn_trials = 20\n"
+            f"schemes = geometric\nsweep = 2\ndistribution = empirical\nempirical_csv = {users}\n")
+    assert main(["simulate", "--config", _write(tmp_path, text)]) == 2
+    assert "polar domain" in capsys.readouterr().err
 
 
 SRC = str(Path(polarcb.__file__).resolve().parents[1])
@@ -569,7 +587,7 @@ def test_lloyd_converges_past_the_old_cap(tmp_path):
     assert out.read_text().count("extended") == 1
 
 
-def test_singular_zero_forcing_drops_are_reported(tmp_path, capsys):
+def test_singular_zero_forcing_drops_are_reported(tmp_path, capsys, threads_warning):
     # one RVQ codeword: both users feed back the same direction in every drop
     text = SMALL.replace("k_users = 3", "k_users = 2") + "b2 = 0\n"
     out = tmp_path / "rows.csv"
@@ -578,13 +596,14 @@ def test_singular_zero_forcing_drops_are_reported(tmp_path, capsys):
     assert "geometric: zero forcing was singular in 6 of 6 drops" in err
     assert "full_csi" not in err
     rows = out.read_bytes()
-    assert main(["simulate", "--config", _write(tmp_path, text), "--threads", "2"]) == 0
+    with threads_warning(2):
+        assert main(["simulate", "--config", _write(tmp_path, text), "--threads", "2"]) == 0
     assert capsys.readouterr().out.encode() == rows
     assert main(["simulate", "--config", _write(tmp_path, SMALL)]) == 0
     assert capsys.readouterr().err == ""
 
 
-def test_multipath_csv_independent_of_threads(tmp_path):
+def test_multipath_csv_independent_of_threads(tmp_path, threads_warning):
     text = ("experiment = multipath_gain_vs_q\ndistribution = gmm\n"
             "gmm_components = 0.5:15:5;0.5:60:20\nschemes = geometric,hybrid,extended\n"
             "sweep = 2,3\nnum_antennas = 65\np = 5\nk_users = 2\nl_paths = 3\nb2 = 6\n"
@@ -593,7 +612,9 @@ def test_multipath_csv_independent_of_threads(tmp_path):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.csv"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        with threads_warning(threads):
+            assert main(["simulate", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 7

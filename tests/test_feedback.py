@@ -180,7 +180,7 @@ def test_scan_independent_of_cpu_count(cfg129, region, monkeypatch, recorded_poo
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(feedback, "available_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda cpus=cpus: cpus)
             runs.append(best_codeword_scan(cfg129, vecs, angles, ranges))
     finally:
         sys.setswitchinterval(interval)
@@ -192,9 +192,9 @@ def test_scan_independent_of_cpu_count(cfg129, region, monkeypatch, recorded_poo
     assert np.abs(runs[0][0] - ref_gain).max() <= 1e-12
 
 
-@pytest.mark.parametrize("block,workers", [(2048, 2), (2500, 2), (3072, 3)])
+@pytest.mark.parametrize("block,cpus", [(2048, 2), (4096, 8), (300, 3)])
 def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded_pools,
-                                                  block, workers):
+                                                  block, cpus):
     lock = threading.Lock()
     live = [0, 0]            # codewords under construction now, and at most
     build = feedback._bulk_fold_codewords
@@ -211,7 +211,7 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
                 live[0] -= len(theta)
 
     monkeypatch.setattr(feedback, "_bulk_fold_codewords", counted)
-    monkeypatch.setattr(feedback, "available_cpus", lambda: 8)
+    monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda: cpus)
     angles = np.linspace(-0.5, 0.5, 6000)
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
     # one antenna alone scores every codeword 1 / sqrt(M) up to rounding, so
@@ -219,9 +219,11 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
     vecs = np.vstack([h, np.eye(129)[0]])
     _, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]), block=block)
     assert np.array_equal(idx, _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))[1])
-    assert recorded_pools == [workers]
-    # a job builds half of its SCAN_CHUNK codewords and scores the rest as mirrors
-    assert feedback.SCAN_CHUNK // 2 < live[1] <= block
+    assert recorded_pools == [cpus]
+    # a job builds at most step = min(block, SCAN_CHUNK) // 2 codewords, and
+    # scores as many more as their mirrors; the workers' builds overlap
+    step = min(block, feedback.SCAN_CHUNK) // 2
+    assert step < live[1] <= cpus * step
     assert live[0] == 0
 
 
@@ -232,8 +234,8 @@ def recorded_maps(monkeypatch):
     pool = feedback.thread_map
 
     @contextmanager
-    def counting(workers):
-        with pool(workers) as pmap:
+    def counting():
+        with pool() as pmap:
             def counted(fn, items):
                 items = list(items)
                 counts.append(len(items))
@@ -249,20 +251,21 @@ def test_scan_gives_every_worker_jobs_in_every_pass(cfg129, region, monkeypatch,
     # G = 8 over 8 chunks, whose pass A used to be one job of all 8 chunks'
     # representatives, and 12 rows, whose few survivors used to be one
     # rescoring step: now runs of at most G chunks, about two per worker, and
-    # at least two steps per worker, with the bytes of one CPU
+    # at least two steps per worker, with the bytes of one CPU, also on 8 CPUs,
+    # past the 4 workers a scan was once capped at
     cb = scheme_codebook(cfg129, region, "geometric", 11, 2)
     lead, mirror = feedback._mirror_pairs(cb.angle_samples)
     assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror)) == 8
     vecs = _scan_vectors(cfg129, region, 3)
     runs = []
-    for cpus, pass_a in ((1, 2), (2, 4), (3, 4)):
-        monkeypatch.setattr(feedback, "available_cpus", lambda cpus=cpus: cpus)
+    for cpus, pass_a in ((1, 2), (2, 4), (3, 4), (8, 8)):
+        monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda cpus=cpus: cpus)
         recorded_maps.clear()
         runs.append(best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples))
         setup, jobs_a, chunks, steps = recorded_maps
         assert (setup, jobs_a, chunks) == (1, pass_a, 8)
-        assert steps >= 2 * cpus                      # each row keeps at least one pair
-    assert recorded_pools == [2, 3]
+        assert steps >= min(2 * cpus, len(vecs))      # each row keeps at least one pair
+    assert recorded_pools == [2, 3, 8]
     for gain, idx in runs:
         assert np.array_equal(gain, runs[0][0])
         assert np.array_equal(idx, runs[0][1])
@@ -274,7 +277,7 @@ def test_scan_gives_every_worker_jobs_in_every_pass(cfg129, region, monkeypatch,
 def test_scan_tie_across_chunks_of_two_workers(cfg129, monkeypatch, recorded_pools):
     # one grid point at flat 1023 and 1024, the last of chunk 0 and the first
     # of chunk 1, which two workers score: the lower index wins
-    monkeypatch.setattr(feedback, "available_cpus", lambda: 2)
+    monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda: 2)
     angles = np.linspace(-0.5, 0.5, 2048)
     angles[1024] = angles[1023]
     h = los_channel(cfg129, PolarCoord(angles[1023], 30.0)).vector
@@ -1096,7 +1099,7 @@ def test_scan_memory_grows_by_a_fixed_allowance_per_row(cfg129, region, monkeypa
     # it (8 M bytes), the pass-A bound (4 bytes per chunk), and a few float64
     # and survivors (512 bytes); its products and builds do not grow with n.
     # One worker, so that the peak does not depend on how the jobs overlap.
-    monkeypatch.setattr(feedback, "available_cpus", lambda: 1)
+    monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda: 1)
     cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
     assert feedback._cluster_size(cfg129, cb.angle_samples) > 1
     rng = np.random.default_rng(4)
@@ -1273,7 +1276,7 @@ def test_scan_jobs_share_one_tile_set_per_worker(cfg129, region, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(feedback, "_Tiles", Counted)
-    monkeypatch.setattr(feedback, "available_cpus", lambda: 2)
+    monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda: 2)
     cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
     vecs = _scan_vectors(cfg129, region, 4)
     ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
