@@ -51,8 +51,7 @@ def estimate_gain_mc(codebook: PolarCodebook, dist: DistributionSpec, n_mc: int,
 
 
 def optimize_allocation(b1: int, dist: DistributionSpec, cfg: ArrayConfig, n_mc: int,
-                        seed, scheme: str = "geometric",
-                        lloyd_data=None) -> AllocationResult:
+                        seed, scheme: str = "geometric") -> AllocationResult:
     """Scan every split p + q = b1 and keep the gain-maximizing one.
 
     All splits are evaluated on one common set of user draws to stabilize
@@ -70,7 +69,7 @@ def optimize_allocation(b1: int, dist: DistributionSpec, cfg: ArrayConfig, n_mc:
     best = None
     for p in range(b1 + 1):
         q = b1 - p
-        cb = scheme_codebook(cfg, region, scheme, p, q, lloyd_data=lloyd_data)
+        cb = scheme_codebook(cfg, region, scheme, p, q)
         g, se = _mean_gain(cb, vecs)
         table.append((p, q, g, se))
         if best is None or g > best[2] or (g == best[2] and p > best[0]):

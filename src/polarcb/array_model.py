@@ -17,6 +17,15 @@ from numpy.typing import NDArray
 SPEED_OF_LIGHT = 299_792_458.0
 "Speed of light in m/s."
 
+MAX_APERTURE = 2.0**450
+"Largest aperture, in m, of an ArrayConfig: its path differences never overflow."
+
+_PLANE_WAVE_RANGE = 2.0**510
+"""Ranges beyond which `_phase_diff_exact` takes the plane-wave difference.  Below it,
+r^2 and the terms it meets stay finite for any aperture below MAX_APERTURE; beyond it,
+r^2 could overflow, and the spherical correction, below d^2 / r < 2^-60 d, lies far
+beneath the float64 rounding of k d theta."""
+
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -38,18 +47,21 @@ class ArrayConfig:
             raise ValueError("num_antennas must be a positive integer")
         if self.wavelength is None and self.carrier_frequency is None:
             raise ValueError("give wavelength or carrier_frequency")
+        if not all(x is None or x > 0 for x in (self.wavelength, self.carrier_frequency)):
+            raise ValueError("wavelength and carrier_frequency must be positive")
         if self.wavelength is None:
             object.__setattr__(self, "wavelength", SPEED_OF_LIGHT / self.carrier_frequency)
         elif self.carrier_frequency is None:
             object.__setattr__(self, "carrier_frequency", SPEED_OF_LIGHT / self.wavelength)
         elif not math.isclose(self.wavelength * self.carrier_frequency, SPEED_OF_LIGHT, rel_tol=1e-6):
             raise ValueError("wavelength and carrier_frequency disagree")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2)
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
+        if not self.aperture < MAX_APERTURE:
+            raise ValueError(f"aperture {self.aperture:g} m must be below {MAX_APERTURE:g} m: "
+                             f"beyond, path differences overflow")
 
     @property
     def aperture(self) -> float:
@@ -124,14 +136,14 @@ def _phase_diff_exact(cfg: ArrayConfig, theta, r):
 
     Uses (r^(m))^2 - r^2 = (delta*d0)^2 - 2 r theta delta*d0 divided by
     r^(m) + r, which stays accurate for r far beyond the aperture.
-    Infinite ranges reduce to the plane-wave difference -delta*d0*theta,
-    evaluated only when some range is infinite.  The result is built in
-    place in one (..., M) array beside one temporary of the same shape.
+    Ranges beyond `_PLANE_WAVE_RANGE` take the plane-wave difference
+    -delta*d0*theta, evaluated only when some range is that far.  The result
+    is built in place in one (..., M) array beside one temporary of its shape.
     """
     d = antenna_offsets(cfg) * cfg.spacing
     theta = np.asarray(theta, dtype=np.float64)[..., None]
     r = np.asarray(r, dtype=np.float64)[..., None]
-    far = np.isinf(r)
+    far = r > _PLANE_WAVE_RANGE
     if far.all():
         shape = np.broadcast_shapes(theta.shape, r.shape)[:-1] + d.shape
         return np.multiply(-d, theta, out=np.empty(shape))

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .array_model import ArrayConfig, PolarRegion, steering_matrix_exact
+from .distributions import read_csv_rows
 
 
 def _sample_count(bits: int) -> int:
@@ -286,21 +287,14 @@ def load_codebook_csv(cfg: ArrayConfig, path: str | Path) -> PolarCodebook:
 
     The rows must be the whole grid in flat order, as `save_csv` writes it:
     `index` runs 0..n-1 and each row is `locations(index)` of the rebuilt codebook.
+    The file is read by `read_csv_rows`.
     """
-    index, thetas, ranges = [], [], []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "index,theta,range_m":
-            raise ValueError(f"{path}: expected header 'index,theta,range_m'")
-        for line in fh:
-            i, th, rr = line.strip().split(",")
-            index.append(int(i))
-            thetas.append(float(th))
-            ranges.append(float(rr))
+    rows = read_csv_rows(path, "index,theta,range_m", (int, float, float))
+    index, thetas, ranges = np.array(rows, dtype=np.float64).reshape(-1, 3).T
     angle_samples = np.unique(thetas)
     range_samples = np.array(sorted(set(ranges), key=lambda x: (np.isinf(x), x)))
     cb = PolarCodebook(cfg, angle_samples, range_samples)
-    if index != list(range(len(index))) or not np.array_equal(
+    if not np.array_equal(index, np.arange(len(index))) or not np.array_equal(
             cb.locations(np.arange(len(cb))), (thetas, ranges)):
         raise ValueError(f"{path}: rows are not an angle x range grid in flat index order")
     return cb

@@ -240,12 +240,26 @@ def range_pdf(spec: DistributionSpec, r) -> np.ndarray:
     return np.where(inside, pdf, 0.0)
 
 
-def load_empirical_csv(path: str | Path) -> Empirical:
-    "Load an empirical spec from a CSV with header columns `theta,r_m`."
+def read_csv_rows(path: str | Path, header: str, types) -> list[tuple]:
+    """The rows of CSV file `path` below the header line `header`, each field converted by
+    its entry of `types`.  Blank lines are skipped; any other row that does not convert is
+    a ValueError naming the file and the line."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["theta", "r_m"]:
-            raise ValueError(f"{path}: expected header 'theta,r_m'")
-        rows = [(float(a), float(b)) for a, b in reader]
-    return Empirical(np.array(rows))
+        if [c.strip() for c in next(reader, [])] != header.split(","):
+            raise ValueError(f"{path}: expected header '{header}'")
+        for row in reader:
+            try:
+                if "".join(row).strip():
+                    if len(row) != len(types):
+                        raise ValueError(f"{len(row)} fields, expected {len(types)}")
+                    rows.append(tuple(kind(x) for kind, x in zip(types, row)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return rows
+
+
+def load_empirical_csv(path: str | Path) -> Empirical:
+    "Load an empirical spec from a CSV with header columns `theta,r_m` (`read_csv_rows`)."
+    return Empirical(np.array(read_csv_rows(path, "theta,r_m", (float, float))))

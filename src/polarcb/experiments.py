@@ -23,7 +23,7 @@ from .array_model import ArrayConfig, PolarRegion, steering_matrix_exact
 from .allocation import _mean_gain, mean_best_gain, optimize_allocation
 from .channels import (ChannelArrays, channel_vectors, equal_path_gains,
                        rician_path_gains)
-from .codebooks import SCHEMES, PolarCodebook, scheme_codebook
+from .codebooks import SCHEMES, PolarCodebook, scheme_codebook, scheme_range_samples
 from .distributions import (MIN_TRUNCATION_MASS, DistributionSpec, GaussianMixtureRange,
                             HotSpotRange, TruncatedGaussianRange, UniformPolar,
                             load_empirical_csv, mean_stderr, sample_locations, truncation_mass)
@@ -179,8 +179,6 @@ def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
         bad.append("sweep")
     if bad:
         raise ConfigError(f"values must be finite numbers: {bad}")
-    if c.carrier_ghz <= 0:
-        raise ConfigError("carrier_ghz must be > 0")
     decibels = [(key, getattr(c, key)) for key in _DB_KEYS]
     if simulate and c.experiment == "rate_vs_snr":
         decibels += [("sweep", v) for v in c.sweep]
@@ -193,12 +191,8 @@ def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
     try:
         c.array_config()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _check_distribution(c)
+        raise ConfigError(f"num_antennas, carrier_ghz: {exc}") from None
     if simulate:
-        if c.experiment == "gain_vs_rmax":
-            for r_max in c.sweep:
-                _check_distribution(replace(c, r_max=r_max))
         if not c.schemes or len(set(c.schemes)) != len(c.schemes):
             raise ConfigError(f"schemes must name at least one scheme, each once; "
                               f"got {list(c.schemes)}")
@@ -230,6 +224,9 @@ def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
     if "extended" in built and (c.n_train < 2 ** max(qs) or c.lloyd_tolerance <= 0):
         raise ConfigError(f"the extended scheme needs n_train >= 2^q and lloyd_tolerance > 0 "
                           f"at q = {max(qs)}; got {c.n_train}, {c.lloyd_tolerance}")
+    swept = c.sweep if simulate and c.experiment == "gain_vs_rmax" else ()
+    for sub in [c, *(replace(c, r_max=r_max) for r_max in swept)]:
+        _check_region(sub, built, range(c.b1 + 1) if command == "allocate" else qs)
 
 
 _DB_KEYS = ("kappa_db", "snr_db")
@@ -257,8 +254,8 @@ def _codebook_sizes(c: ExperimentConfig, command: str, q: int):
     return sizes
 
 
-def _check_distribution(c: ExperimentConfig) -> None:
-    "Build the configured location law; reject it if invalid or sampled too slowly."
+def _check_region(c: ExperimentConfig, schemes, qs) -> None:
+    "Reject an invalid or too slowly sampled location law, or range samples that overflow."
     try:
         spec = c.distribution_spec()
     except ValueError as exc:
@@ -267,6 +264,15 @@ def _check_distribution(c: ExperimentConfig) -> None:
     if mass < MIN_TRUNCATION_MASS:
         raise ConfigError(f"the {c.distribution} range law keeps mass {mass:.3g} inside "
                           f"[{c.r_min}, {c.r_max}] m, below the floor {MIN_TRUNCATION_MASS:g}")
+    # hybrid's samples are hyperbolic ones and the far field
+    for scheme in sorted({"hyperbolic" if s == "hybrid" else s for s in schemes}
+                         & {"geometric", "hyperbolic", "uniform"}):
+        for q in qs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = scheme_range_samples(scheme, c.region(), q)
+            if not np.all((samples > 0) & (samples < np.inf)):
+                raise ConfigError(f"the {scheme} range samples at q = {q} overflow over "
+                                  f"[{c.r_min}, {c.r_max}] m")
 
 
 def stream_seed(seed, stream: str, *extra) -> tuple:
@@ -447,15 +453,13 @@ def run_experiment(c: ExperimentConfig) -> str:
     "Run the configured experiment; returns the CSV text (also written to c.out)."
     validate_config(c)
     rows = sorted(_RUNNERS[c.experiment](c), key=lambda row: (row[0], row[1]))
-    lines = [CSV_HEADER]
-    for value, scheme, metric, mean, stderr in rows:
-        lines.append(f"{value!r},{scheme},{metric},{float(mean)!r},{float(stderr)!r},"
-                     f"{c.n_trials},{c.seed}")
-    return _csv_text(c, lines)
+    return _csv_text(c, CSV_HEADER, [(*row, c.n_trials, c.seed) for row in rows])
 
 
-def _csv_text(c: ExperimentConfig, lines) -> str:
-    "The CSV text of `lines`, also written to c.out when it is set."
+def _csv_text(c: ExperimentConfig, header: str, rows) -> str:
+    "CSV of `header` and `rows`, a float as repr(float(x)), else str(x); written to c.out if set."
+    lines = [header] + [",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                                 for x in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if c.out:
         Path(c.out).write_text(text)
@@ -482,10 +486,7 @@ def run_allocation(c: ExperimentConfig) -> str:
     validate_config(c, "allocate")
     result = optimize_allocation(c.b1, c.distribution_spec(), c.array_config(),
                                  c.n_mc, stream_seed(c.seed, "alloc"), scheme=c.scheme)
-    lines = ["p,q,gamma_hat,stderr"]
-    for p, q, g, se in result.gain_table:
-        lines.append(f"{p},{q},{float(g)!r},{float(se)!r}")
-    return _csv_text(c, lines)
+    return _csv_text(c, "p,q,gamma_hat,stderr", result.gain_table)
 
 
 def theory_report(c: ExperimentConfig) -> str:
@@ -531,24 +532,18 @@ def theory_report(c: ExperimentConfig) -> str:
     rows.append(("range_error_threshold", th_r, float("nan")))
 
     # rate-gap bound vs a measured per-user gap on a short protocol run
-    if c.k_users < 2:
-        return _theory_csv(rows, c)
-    sub = replace(c, n_trials=c.n_mc, schemes=("geometric",))
-    vectors, coords, cb2 = _rate_inputs(sub)
-    geo = _batched_beamformers(cfg, vectors, cb, cb2)
-    full = _batched_beamformers(cfg, vectors, None, None, True, coords)
-    gamma_hat = float((geo.phase1_gains / np.linalg.norm(vectors, axis=2)).mean())
-    p_tot = 10.0 ** (sub.snr_db / 10.0)
-    gap = (zf_rates(full.rx, p_tot, float(cfg.num_antennas))
-           - zf_rates(geo.rx, p_tot, float(cfg.num_antennas))).sum(axis=1) / sub.k_users
-    bound = gain_theory.rate_gap_bound(gamma_hat, p_tot, sub.k_users, sub.b2)
-    rows.append(("rate_gap_bound_vs_measured", bound, float(gap.mean())))
-    return _theory_csv(rows, c)
-
-
-def _theory_csv(rows, c: ExperimentConfig) -> str:
-    lines = ["item,closed_form,oracle,rel_diff"]
-    for name, closed, oracle in rows:
-        rel = abs(closed - oracle) / abs(oracle) if oracle == oracle and oracle != 0 else float("nan")
-        lines.append(f"{name},{float(closed)!r},{float(oracle)!r},{float(rel)!r}")
-    return _csv_text(c, lines)
+    if c.k_users >= 2:
+        sub = replace(c, n_trials=c.n_mc, schemes=("geometric",))
+        vectors, coords, cb2 = _rate_inputs(sub)
+        geo = _batched_beamformers(cfg, vectors, cb, cb2)
+        full = _batched_beamformers(cfg, vectors, None, None, True, coords)
+        gamma_hat = float((geo.phase1_gains / np.linalg.norm(vectors, axis=2)).mean())
+        p_tot = 10.0 ** (sub.snr_db / 10.0)
+        gap = (zf_rates(full.rx, p_tot, float(cfg.num_antennas))
+               - zf_rates(geo.rx, p_tot, float(cfg.num_antennas))).sum(axis=1) / sub.k_users
+        bound = gain_theory.rate_gap_bound(gamma_hat, p_tot, sub.k_users, sub.b2)
+        rows.append(("rate_gap_bound_vs_measured", bound, float(gap.mean())))
+    return _csv_text(c, "item,closed_form,oracle,rel_diff", [
+        (name, closed, oracle,
+         abs(closed - oracle) / abs(oracle) if oracle == oracle and oracle != 0 else float("nan"))
+        for name, closed, oracle in rows])

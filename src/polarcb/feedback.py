@@ -24,15 +24,10 @@ class ZFSingularError(RuntimeError):
 MAX_ZF_CONDITION = 1e8
 
 
-SCAN_CHUNK = 1024
-"""Grid codewords per phase-1 scan job of mirror-paired angles: the job builds
-half of them and scores the other half as their mirrors.  Fixed, so chunk
-boundaries do not depend on the number of CPUs."""
-
 _ROW_BLOCK = 128
 """Rows per pair of complex64 products of the phase-1 scan.  S, A, S - A and the
-two float64 moduli take 40 bytes per built codeword, 2.5 MiB at a full chunk,
-whatever the number of rows."""
+two float64 moduli take 40 bytes per built codeword, 2.5 MiB at a chunk of the
+scan's default `block`, whatever the number of rows."""
 
 _BUILD_STEP = 128
 "Codewords per step of `_bulk_fold_codewords`: its float64 temporaries stay near 0.4 MB at M = 387."
@@ -336,8 +331,7 @@ def _angle_clusters(cfg: ArrayConfig, angle_samples, group: int, split: int = 0)
     return rep, _angle_move(cfg, spread, peak) + 2.0**-24, sizes
 
 
-def _cluster_size(cfg: ArrayConfig, angle_samples, split: int = 0,
-                  most: int = SCAN_CHUNK // 2) -> int:
+def _cluster_size(cfg: ArrayConfig, angle_samples, split: int, most: int) -> int:
     """Angle samples per cluster of the phase-1 scan.
 
     The largest power of two up to `most` whose clusters (`_angle_clusters`,
@@ -379,13 +373,15 @@ def _ceil32(x: np.ndarray) -> np.ndarray:
 
 
 def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.ndarray,
-                       range_samples: np.ndarray, block: int = 4096):
+                       range_samples: np.ndarray, block: int = 1024):
     """Exhaustive |v^H b| scan over an angle x range codeword grid.
 
     `vectors` is (n, M); returns (best gain, best flat index) per row with
     flat index i * len(range_samples) + j and ties resolved to the lowest
     index.  The result is that of scoring every codeword in float64 with
-    `_rescore`; an all-zero row gets gain 0 at index 0.
+    `_rescore`; an all-zero row gets gain 0 at index 0.  A chunk holds at
+    most `block` grid codewords; the scan builds step = max(1, block // 2) of
+    them and scores the others as their mirrors.
 
     The bulk passes score in complex64, folded.  The array is symmetric
     about its centre, so the codeword at -theta is the antenna reversal
@@ -402,11 +398,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     times the float64 gain of the grid codeword it stands for.
 
     Codewords are grouped into clusters of G adjacent lead angles at one
-    range sample, G a power of two of at most
-    step = max(1, min(block, SCAN_CHUNK) // 2) (`_cluster_size`), paired and
-    unpaired angles in separate clusters, each with a representative and a
-    radius rho (`_angle_clusters`): no member scores above its
-    representative's exact score plus ||v|| sqrt(M) rho, and, J being an
+    range sample, G a power of two of at most step (`_cluster_size`),
+    paired and unpaired angles in separate clusters, each with a
+    representative and a radius rho (`_angle_clusters`): no member scores
+    above its representative's exact score plus ||v|| sqrt(M) rho, and, J being an
     isometry, no mirror of a member above the representative's mirror's.
     The scan walks the folded grid (lead angles x range samples) cluster by
     cluster, ring by ring: a chunk holds step // G whole (cluster, ring)
@@ -471,8 +466,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     angle_samples = np.asarray(angle_samples, dtype=np.float64)
     lead, mirror = _mirror_pairs(angle_samples)
     lead_angles = angle_samples[lead]
-    chunk = min(block, SCAN_CHUNK)
-    step = max(1, chunk // 2)
+    step = max(1, block // 2)
     best = np.zeros(n)
     best_idx = np.zeros(n, dtype=np.int64)
     rel = _bulk_error_rel(cfg, _mirror_mismatch(cfg, angle_samples, lead, mirror))
@@ -598,7 +592,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
-        pairs = min(chunk, _RESCORE_PAIRS, max(1, len(rows) // (2 * parallel.available_cpus())))
+        pairs = min(block, _RESCORE_PAIRS, max(1, len(rows) // (2 * parallel.available_cpus())))
         rescored = list(pmap(lambda i: _rescore(
             cfg, vectors, angle_samples, range_samples, rows[i:i + pairs], flats[i:i + pairs],
             tile_sets[threading.get_ident()]), range(0, len(rows), pairs)))
@@ -866,20 +860,20 @@ def quantize_path_gains(gains: np.ndarray, gain_cb: RVQCodebook) -> np.ndarray:
 
     The directions come from `_rvq_pick`, as `phase2_select` picks them, with
     all N channels in steps of `_PHASE2_SCORES` scores on one OpenBLAS thread.
-    The quantized gains depend on neither the location codebook nor its bits,
+    Norms, phases and moduli come from `_row_norms`, `_row_dots` and `np.hypot`,
+    bit for bit the per-row `np.linalg.norm`, `np.vdot` and `abs`.  The
+    quantized gains depend on neither the location codebook nor its bits,
     so a run quantizes each channel once.
     """
     cw = gain_cb.codewords
-    pick = _rvq_pick(gains.conj()[:, None], cw)[:, 0]
-    out = np.empty_like(gains, dtype=np.complex128)
-    for n, (g, direction) in enumerate(zip(gains, cw[pick])):
-        norm = np.linalg.norm(g)
-        if norm == 0:
-            raise ValueError("zero path-gain vector")
-        phase = np.vdot(direction, g)
-        phase = phase / abs(phase) if abs(phase) > 0 else 1.0
-        out[n] = norm * direction * phase
-    return out
+    directions = cw[_rvq_pick(gains.conj()[:, None], cw)[:, 0]]
+    norm = _row_norms(gains)
+    if not norm.all():
+        raise ValueError("zero path-gain vector")
+    phase = _row_dots(directions.conj(), gains)
+    size = np.hypot(phase.real, phase.imag)
+    phase = np.divide(phase, size, out=np.ones_like(phase), where=size > 0)
+    return norm[:, None] * directions * phase[:, None]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,8 +27,27 @@ def test_config_validation():
         ArrayConfig(3, wavelength=0.01, carrier_frequency=1e9)
     with pytest.raises(ValueError):
         ArrayConfig(3, wavelength=-1.0)
+    # a zero carrier or wavelength is rejected before the division (a ZeroDivisionError)
+    for bad in ({"carrier_frequency": 0.0}, {"carrier_frequency": -1.0}, {"wavelength": 0.0}):
+        with pytest.raises(ValueError, match="must be positive"):
+            ArrayConfig(3, **bad)
+    # path differences of an aperture of 2^450 m and more could overflow
+    with pytest.raises(ValueError, match="aperture"):
+        ArrayConfig(33, carrier_frequency=1e-291)
     cfg = ArrayConfig(5, carrier_frequency=30e9)
     assert cfg.wavelength > 0
+
+
+def test_ranges_beyond_the_plane_wave_range_take_the_far_field():
+    # r^2 overflows beyond about 1.3e154 m: every path difference read 0, a broadside beam
+    cfg = ArrayConfig(33, carrier_frequency=30e9)
+    theta = np.array([0.3, 0.0, -0.7])
+    far = steering_matrix_exact(cfg, theta, np.inf)
+    for r in (1e200, 1.4e154, np.finfo(float).max):
+        assert steering_matrix_exact(cfg, theta, r).tobytes() == far.tobytes()
+    near = steering_matrix_exact(cfg, theta, 1e150)
+    assert np.allclose(near, far, rtol=0, atol=1e-12)
+    assert abs(np.vdot(steering_matrix_exact(cfg, 0.3, 1e200), far[0])) == pytest.approx(1.0)
 
 
 def test_coord_and_region_validation():

@@ -8,6 +8,9 @@ a workload writes (`perfbench/workloads.py`) and the package no longer accepts.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -104,3 +107,28 @@ def test_allocation_scans_one_split_at_a_time_in_split_order(monkeypatch):
                                    ArrayConfig(33, carrier_frequency=30e9), 40, 3)
     assert events == [(kind, (2**p, 2**(b1 - p))) for p in range(b1 + 1)
                       for kind in ("enter", "exit")]
+
+
+@pytest.mark.parametrize("name", list(_load("workloads").WORKLOADS))
+def test_tiny_reference_run_passes_the_benchmark_gate(tmp_path, name):
+    # the checks `perfbench/run.py`'s `check_reference` applies to every benchmark run:
+    # a traced child at the reference seed, its CSV within MAX_DEV of the committed
+    # reference and its phase-1 index digest equal to the committed one
+    workloads, checks = _load("workloads"), _load("checks")
+    workload = workloads.WORKLOADS[name]
+    cfg = tmp_path / "reference.cfg"
+    cfg.write_text(workload.config_text(workloads.REFERENCE_SEED, "tiny"))
+    out, result = tmp_path / "reference.csv", tmp_path / "reference.json"
+    env = {**os.environ, **workload.blas_env(), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--command", workload.command,
+         "--config", str(cfg), "--out", str(out), "--result", str(result), "--trace"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    data = json.loads(result.read_text())
+    assert data["rc"] == 0, done.stderr
+    reference = (PERFBENCH / "references" / f"{name}.tiny.csv").read_text()
+    assert checks.max_deviation(reference, out.read_text()) <= checks.MAX_DEV
+    digests = json.loads((PERFBENCH / "references" / "digests.json").read_text())
+    assert data["scan_digest"] == digests[name]["tiny"]

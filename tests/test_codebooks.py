@@ -269,6 +269,13 @@ def test_codebook_csv_roundtrip(cfg129, region, tmp_path):
         path.write_text("index,theta,range_m\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="flat index order"):
             load_codebook_csv(cfg129, path)
+    # blank lines are skipped; any other malformed row names its line
+    path.write_text(text.replace("\n", "\n\n", 3) + "\n \n")
+    assert np.array_equal(load_codebook_csv(cfg129, path).codewords, cb.codewords)
+    for row in ("4,0.1", "4,0.1,10.0,1", "x,0.1,10.0"):
+        path.write_text(f"index,theta,range_m\n0,0.1,10.0\n\n{row}\n")
+        with pytest.raises(ValueError, match=r"cb\.csv, line 4: "):
+            load_codebook_csv(cfg129, path)
 
 
 def test_codebook_binary_roundtrip(cfg129, region, tmp_path):

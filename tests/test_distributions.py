@@ -184,3 +184,13 @@ def test_csv_roundtrip(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         load_empirical_csv(bad)
+
+
+def test_csv_skips_blank_lines_and_names_a_bad_line(tmp_path):
+    path = tmp_path / "users.csv"
+    path.write_text("theta,r_m\n0.1,30\n\n0.2,40\n \n\n")
+    assert load_empirical_csv(path).points.tolist() == [[0.1, 30.0], [0.2, 40.0]]
+    for row in ("0.3", "0.3,40,1", "0.3,x"):
+        path.write_text(f"theta,r_m\n0.1,30\n\n{row}\n")
+        with pytest.raises(ValueError, match=r"users\.csv, line 4: "):
+            load_empirical_csv(path)

@@ -352,6 +352,45 @@ def test_empirical_points_outside_the_polar_domain_are_config_errors(tmp_path, c
     assert "polar domain" in capsys.readouterr().err
 
 
+def test_empirical_csv_blank_lines_run_and_a_bad_line_is_named(tmp_path, capsys):
+    # a trailing blank line was "config error: not enough values to unpack"
+    users = tmp_path / "users.csv"
+    text = ("experiment = gain_vs_q\nnum_antennas = 33\np = 4\nn_trials = 20\n"
+            f"schemes = geometric\nsweep = 2\ndistribution = empirical\nempirical_csv = {users}\n")
+    users.write_text("theta,r_m\n0.1,30\n0.2,40\n\n")
+    assert main(["simulate", "--config", _write(tmp_path, text)]) == 0
+    capsys.readouterr()
+    users.write_text("theta,r_m\n0.1,30\n0.2\n")
+    assert main(["simulate", "--config", _write(tmp_path, text)]) == 2
+    assert "users.csv, line 3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,lines,code", [
+    # ranges beyond about 1.3e154 m gave broadside beams: every gain read 1.0000000000000002
+    ("allocate", "b1 = 3\nn_mc = 5\nr_max = 1e200\n", 0),
+    ("simulate", "experiment = gain_vs_rmax\nsweep = 120,1e160\nn_trials = 20\n"
+                 "schemes = geometric,hyperbolic,uniform,dft,hybrid\n", 0),
+    # hyperbolic samples collapsed to r = 0 and wrote a gain of 0.0
+    ("simulate", "experiment = gain_vs_q\nsweep = 2\nn_trials = 20\nr_min = 1e-300\n"
+                 "r_max = 1e300\nschemes = hyperbolic,uniform\n", 2),
+    ("simulate", "experiment = gain_vs_q\nsweep = 2\nn_trials = 20\nr_min = 1e-300\n"
+                 "r_max = 1e300\nschemes = uniform,dft\n", 0),
+    # the aperture's square overflowed, and every gain read 0.0
+    ("simulate", "experiment = gain_vs_q\nsweep = 2\nn_trials = 20\ncarrier_ghz = 1e-300\n"
+                 "schemes = geometric\n", 2),
+], ids=["allocate_far", "gain_vs_rmax_far", "hyperbolic_overflow", "uniform_far",
+        "carrier_overflow"])
+def test_overflowing_geometry_is_rejected_or_gives_true_gains(tmp_path, command, lines, code):
+    out = tmp_path / "rows.csv"
+    text = "num_antennas = 33\np = 3\nq = 2\n" + lines
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == code
+    if code == 0:
+        rows = out.read_text().splitlines()[1:]
+        gains = np.array([float(row.split(",")[3 if command == "simulate" else 2])
+                          for row in rows])
+        assert len(gains) and np.all(np.isfinite(gains)) and np.all(gains <= 1.0)
+
+
 SRC = str(Path(polarcb.__file__).resolve().parents[1])
 
 

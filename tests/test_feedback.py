@@ -1,3 +1,4 @@
+import inspect
 import sys
 import threading
 import time
@@ -23,6 +24,10 @@ from polarcb.channels import ChannelArrays, ChannelRealization
 from polarcb.codebooks import PolarCodebook, grid_locations
 from polarcb.feedback import (best_codeword_scan, multipath_feedback_batch, nearest_index,
                               quantize_path_gains)
+
+SCAN_STEP = inspect.signature(best_codeword_scan).parameters["block"].default // 2
+"Codewords a job of `best_codeword_scan` builds at its default `block`."
+
 
 @pytest.fixture(scope="module")
 def small_cb(cfg129, region):
@@ -220,9 +225,9 @@ def test_scan_in_flight_codewords_bounded_by_block(cfg129, monkeypatch, recorded
     _, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]), block=block)
     assert np.array_equal(idx, _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))[1])
     assert recorded_pools == [cpus]
-    # a job builds at most step = min(block, SCAN_CHUNK) // 2 codewords, and
-    # scores as many more as their mirrors; the workers' builds overlap
-    step = min(block, feedback.SCAN_CHUNK) // 2
+    # a job builds at most step = block // 2 codewords and scores as many
+    # more as their mirrors; the workers' builds overlap
+    step = block // 2
     assert step < live[1] <= cpus * step
     assert live[0] == 0
 
@@ -255,7 +260,7 @@ def test_scan_gives_every_worker_jobs_in_every_pass(cfg129, region, monkeypatch,
     # past the 4 workers a scan was once capped at
     cb = scheme_codebook(cfg129, region, "geometric", 11, 2)
     lead, mirror = feedback._mirror_pairs(cb.angle_samples)
-    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror)) == 8
+    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror), SCAN_STEP) == 8
     vecs = _scan_vectors(cfg129, region, 3)
     runs = []
     for cpus, pass_a in ((1, 2), (2, 4), (3, 4), (8, 8)):
@@ -394,7 +399,7 @@ def _unpruned(monkeypatch):
 def test_pruned_scan_matches_per_ring_scan(cfg129, region, monkeypatch, scheme):
     # p = 10, q = 3: 8192 codewords in clusters of 4 angles (32 on the dft grid)
     cb = scheme_codebook(cfg129, region, scheme, 10, 3)
-    assert feedback._cluster_size(cfg129, cb.angle_samples) > 1
+    assert feedback._cluster_size(cfg129, cb.angle_samples, 0, SCAN_STEP) > 1
     vecs = _scan_vectors(cfg129, region, 12)
     ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, cb.angle_samples, cb.range_samples)
     gain, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
@@ -413,7 +418,7 @@ def test_pruned_scan_with_clusters_spanning_more_rings_than_a_chunk(cfg129, regi
     # (cluster, ring) sets and every chunk's bound covers its own sets only
     cb = scheme_codebook(cfg129, region, "hyperbolic", 10, 6)
     lead, mirror = feedback._mirror_pairs(cb.angle_samples)
-    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror)) == 4
+    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror), SCAN_STEP) == 4
     rng = np.random.default_rng(2)
     vecs = steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, 4), rng.uniform(4.0, 120.0, 4))
     built = []
@@ -471,7 +476,7 @@ def test_scan_of_theta_zero_takes_one_product_per_row_block(cfg129, region, monk
 @pytest.mark.parametrize("scheme", ["geometric", "dft", "hybrid"])
 def test_cluster_radius_bounds_member_distance(cfg129, region, scheme):
     cb = scheme_codebook(cfg129, region, scheme, 10, 3)
-    group = feedback._cluster_size(cfg129, cb.angle_samples)
+    group = feedback._cluster_size(cfg129, cb.angle_samples, 0, SCAN_STEP)
     rep, radius, _ = feedback._angle_clusters(cfg129, cb.angle_samples, group)
     assert radius.max() <= feedback._MAX_RADIUS
     cluster = np.arange(len(cb.angle_samples)) // group
@@ -492,7 +497,7 @@ def _edge_member_row(cfg):
 
 def test_scan_gate_catches_halved_radius(cfg129, monkeypatch):
     angles, ranges, v = _edge_member_row(cfg129)
-    assert feedback._cluster_size(cfg129, angles) == 2
+    assert feedback._cluster_size(cfg129, angles, 0, SCAN_STEP) == 2
     _, ref_idx = _scan_per_ring(cfg129, v, angles, ranges)
     assert ref_idx[0] == 0
     # block 4: each cluster is a chunk of its own, so its pruning shows
@@ -546,7 +551,7 @@ def test_level2_scores_fewer_rows_in_full_than_meet_the_chunks(cfg129, region, m
     # against those rows; only the rows that go on score the whole chunk
     cb = scheme_codebook(cfg129, region, scheme, 10, 3)
     lead, mirror = feedback._mirror_pairs(cb.angle_samples)
-    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror)) >= 4
+    assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror), SCAN_STEP) >= 4
     built, rows = [], {"met": 0, "full": 0}
     build, scores = feedback._bulk_fold_codewords, feedback._bulk_scores
 
@@ -581,7 +586,7 @@ def test_scan_keeps_ties_under_adversarial_bulk_rounding(cfg129, monkeypatch):
     # 1.8 E below flat 1, yet flat 0 holds the lowest tied index and has to be kept
     angles = np.array([0.1, 0.1, -0.3, -0.298, 0.35, 0.352, 0.1, 0.1])
     ranges = np.array([30.0])
-    assert feedback._cluster_size(cfg129, angles) == 2
+    assert feedback._cluster_size(cfg129, angles, 0, SCAN_STEP) == 2
     h = los_channel(cfg129, PolarCoord(0.1, 30.0)).vector
     e = _documented_bulk_error(129, feedback._pow2_scaled(h[None]))
     scores = feedback._bulk_scores
@@ -627,8 +632,8 @@ def test_scan_angles_reaching_endfire(cfg129):
     endfire = np.linspace(0.9, 1.0, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert feedback._cluster_size(cfg129, wide.angle_samples) == 1
-        assert feedback._cluster_size(cfg129, endfire) == 1
+        assert feedback._cluster_size(cfg129, wide.angle_samples, 0, SCAN_STEP) == 1
+        assert feedback._cluster_size(cfg129, endfire, 0, SCAN_STEP) == 1
         assert feedback._angle_clusters(cfg129, endfire, 2)[1][-1] == np.inf
         h = los_channel(cfg129, PolarCoord(0.97, 20.0)).vector
         for angles, ranges in ((wide.angle_samples, wide.range_samples),
@@ -947,6 +952,37 @@ def test_quantize_path_gains_steps_match_one_channel_calls():
         quantize_path_gains(np.zeros((2, 3), complex), gain_cb)
 
 
+def _per_channel_path_gains(gains, gain_cb):
+    "Path gains quantized one channel at a time, with the per-row norm, vdot and abs."
+    cw = gain_cb.codewords
+    pick = feedback._rvq_pick(gains.conj()[:, None], cw)[:, 0]
+    out = np.empty_like(gains, dtype=np.complex128)
+    for n, (g, direction) in enumerate(zip(gains, cw[pick])):
+        norm = np.linalg.norm(g)
+        phase = np.vdot(direction, g)
+        phase = phase / abs(phase) if abs(phase) > 0 else 1.0
+        out[n] = norm * direction * phase
+    return out
+
+
+@pytest.mark.parametrize("paths", [1, 2, 3, 5, 8])
+def test_quantize_path_gains_matches_the_per_channel_loop(paths):
+    # 750 rows per path count, their scales from 1e-100 to 1e100
+    rng = np.random.default_rng(paths)
+    for b2 in (3, 7, 12):
+        gain_cb = rvq_generate(paths, b2, "isotropic", b2)
+        gains = rng.standard_normal((250, paths)) + 1j * rng.standard_normal((250, paths))
+        gains *= 10.0 ** rng.uniform(-100, 100, (250, 1))
+        assert _bits(quantize_path_gains(gains, gain_cb)) == _bits(
+            _per_channel_path_gains(gains, gain_cb))
+    # a row exactly orthogonal to its only direction keeps the direction's phase
+    gain_cb = feedback.RVQCodebook(np.array([[0.5, 0.5]], complex), "isotropic", 0)
+    gains = np.array([[0.25, -0.25], [0.3, 0.4j]], complex)
+    batch = quantize_path_gains(gains, gain_cb)
+    assert _bits(batch) == _bits(_per_channel_path_gains(gains, gain_cb))
+    assert _bits(batch[0]) == _bits(np.linalg.norm(gains[0]) * gain_cb.codewords[0])
+
+
 def test_batched_path_matches_run_protocol(cfg129, region, small_cb):
     rng = np.random.default_rng(13)
     cb2 = rvq_generate(3, 8, "isotropic", 2)
@@ -1101,7 +1137,7 @@ def test_scan_memory_grows_by_a_fixed_allowance_per_row(cfg129, region, monkeypa
     # One worker, so that the peak does not depend on how the jobs overlap.
     monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda: 1)
     cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
-    assert feedback._cluster_size(cfg129, cb.angle_samples) > 1
+    assert feedback._cluster_size(cfg129, cb.angle_samples, 0, SCAN_STEP) > 1
     rng = np.random.default_rng(4)
     lo, hi = 256, 2048
     vecs = sum(w * steering_matrix_exact(cfg129, rng.uniform(-0.5, 0.5, hi),
@@ -1212,7 +1248,7 @@ def test_folded_scan_matches_per_ring_scan(region, monkeypatch, m, angles, mirro
     assert len(feedback._mirror_pairs(angles)[1]) == mirrors
     if pruned:
         lead, mirror = feedback._mirror_pairs(angles)
-        assert feedback._cluster_size(cfg, angles[lead], len(mirror)) > 1
+        assert feedback._cluster_size(cfg, angles[lead], len(mirror), SCAN_STEP) > 1
     else:
         _unpruned(monkeypatch)
     ranges = np.array([6.0, 25.0, np.inf])
@@ -1259,7 +1295,7 @@ def test_scan_builds_half_of_a_symmetric_grid(cfg129, region, monkeypatch):
     cb = scheme_codebook(cfg129, region, "geometric", 10, 3)
     vecs = _scan_vectors(cfg129, region, 2)
     _, idx = best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples)
-    assert sum(built) == len(cb) // 2 and max(built) == feedback.SCAN_CHUNK // 2
+    assert sum(built) == len(cb) // 2 and max(built) == SCAN_STEP
     assert np.array_equal(idx, _scan_per_ring(cfg129, vecs, cb.angle_samples,
                                               cb.range_samples)[1])
 
@@ -1349,7 +1385,7 @@ def _cluster_reps(cfg, angles, block, level):
     """Per angle index, the angle index of its cluster's representative (level 1)
     or its half-cluster's (level 2) in a scan of `block`; mirrors map to mirrors."""
     lead, mirror = feedback._mirror_pairs(angles)
-    step = max(1, min(block, feedback.SCAN_CHUNK) // 2)
+    step = max(1, block // 2)
     group = feedback._cluster_size(cfg, angles[lead], len(mirror), step)
     group = group // 2 if level == 2 and group >= 4 else group
     rep, _, sizes = feedback._angle_clusters(cfg, angles[lead], group, len(mirror))
