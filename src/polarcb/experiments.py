@@ -209,6 +209,9 @@ def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
                           f"no empirical distribution; got {c.b1}, {c.scheme}, {c.distribution}")
     if command == "theory" and c.num_antennas < 3:
         raise ConfigError("theory needs num_antennas >= 3: below, its gain surrogate is constant")
+    if command == "theory" and c.r_max / 2 < c.r_min:
+        raise ConfigError(f"theory draws a range cell from [r_min, r_max / 2], so it needs "
+                          f"r_max >= 2 r_min; got [{c.r_min}, {c.r_max}] m")
     for bits, columns, what in _codebook_sizes(c, command, max(qs)):
         # 2^25 already exceeds the cap, so larger bit counts build no huge integer
         if columns * 2 ** min(bits, 25) > MAX_CODEBOOK_ENTRIES:
@@ -260,6 +263,9 @@ def _check_region(c: ExperimentConfig, schemes, qs) -> None:
         spec = c.distribution_spec()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if "extended" in schemes and not math.isfinite(c.r_max * c.r_max):
+        raise ConfigError(f"the extended scheme's Lloyd tolerance divides by r_max^2, "
+                          f"which overflows at r_max = {c.r_max} m")
     mass = truncation_mass(spec)
     if mass < MIN_TRUNCATION_MASS:
         raise ConfigError(f"the {c.distribution} range law keeps mass {mass:.3g} inside "

@@ -3,6 +3,7 @@ quantization, zero-forcing digital beamforming and per-user rates."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import defaultdict
@@ -431,7 +432,10 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     rows whose chunk maximum is among those are searched for them.  The
     main thread takes the chunks in order and drops, as each arrives, its
     codewords more than 2E below the row's best bulk score so far, and once
-    every chunk is in, those more than 2E below the final best.  A codeword
+    every chunk is in, those more than 2E below the final best.  A pass-B job
+    takes a run of consecutive chunks of at most `_BUILD_STEP` built
+    codewords in all, or one chunk that builds more (as at the default
+    `block`), about two jobs per worker.  A codeword
     whose float64 gain equals the row's maximum scores within E of it, and
     no bulk score exceeds it by more than E, so all of them survive.  With
     G = 1 there is no pass A, every row meets every chunk, and the chunks
@@ -450,8 +454,8 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     and casts the rows `_ROW_BLOCK` at a time, with their E), runs on the
     process's thread pool, one thread per available CPU (numpy's ufuncs and
     BLAS release the GIL).  `block` bounds a job, not the number of jobs: a
-    job builds at most step codewords (a chunk, or the representatives of G
-    chunks), so at most step per worker are in flight, and scores them
+    job builds at most step codewords at a time (a chunk, or the representatives
+    of G chunks), so at most step per worker are in flight, and scores them
     `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
     (8 M bytes per codeword), the tile of its half-cluster representatives
     (8 M bytes each, 2 step / G of them) and 40 bytes per codeword and row
@@ -480,7 +484,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     n_sets = len(rep) * nq
     n_chunks = -(-n_sets // per)
     paired_sets = -(-len(mirror) // group) * nq        # the sets of paired clusters
-    run = max(1, min(group, -(-n_chunks // (2 * parallel.available_cpus()))))  # pass-A chunks
+    share = -(-n_chunks // (2 * parallel.available_cpus()))  # chunks per job at two per worker
+    run = max(1, min(group, share))                          # pass-A chunks per job
+    run_b = max(1, min(_BUILD_STEP // step, share))          # pass-B chunks per job
     rows32 = np.empty((n, m), np.complex64)
     margin, reach = np.empty(n), np.empty(n)
 
@@ -583,7 +589,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         floor = top - margin
         final = top.copy()
         parts = [(everyone[:0], everyone[:0], np.empty(0))]
-        for rows, chunk_top, row, flat, s in pmap(score, range(n_chunks)):
+        runs_b = pmap(lambda k: [score(j) for j in range(k, min(k + run_b, n_chunks))],
+                      range(0, n_chunks, run_b))
+        for rows, chunk_top, row, flat, s in itertools.chain.from_iterable(runs_b):
             final[rows] = np.maximum(final[rows], chunk_top)
             kept = s >= (final - margin)[row]
             parts.append((row[kept], flat[kept], s[kept]))

@@ -12,6 +12,9 @@ OpenBLAS to one thread per call for the rest of the process
 (`_one_blas_thread`).  At its full count OpenBLAS would start one thread per
 CPU for every call a worker makes, and the RVQ products on the calling thread,
 too small to share, would wake its idle threads to spin beside the workers.
+`_openblas` looks the thread-count functions up on numpy's own linear-algebra
+extension: the dynamic linker searches its dependencies, so they are those of
+the BLAS numpy calls, whatever other copies (scipy's) the process has loaded.
 """
 
 from __future__ import annotations
@@ -36,37 +39,15 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mapped_openblas() -> list[str]:
-    """Paths of the OpenBLAS libraries mapped into this process, numpy's first.
-
-    numpy's wheels vendor OpenBLAS in `numpy.libs` next to the package; a
-    system numpy links a system OpenBLAS, outside any wheel's `.libs`
-    directory.  Other wheels' copies (scipy's) are left out.
-    """
-    import numpy
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {fields[5] for fields in map(str.split, fh)
-                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
-    except OSError:
-        return []
-    wheel = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-    own = sorted(p for p in paths if os.path.dirname(p) == wheel)
-    return own or sorted(p for p in paths if not os.path.dirname(p).endswith(".libs"))
-
-
 @functools.cache
 def _openblas():
     "numpy's OpenBLAS (get, set) thread-count functions, or None where none is found."
-    for path in _mapped_openblas():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get, set_ in _THREAD_SYMBOLS:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                return getattr(lib, get), getattr(lib, set_)
+    import numpy
+
+    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    for get, set_ in _THREAD_SYMBOLS:
+        if hasattr(lib, get) and hasattr(lib, set_):
+            return getattr(lib, get), getattr(lib, set_)
     return None
 
 

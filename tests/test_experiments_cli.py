@@ -378,8 +378,11 @@ def test_empirical_csv_blank_lines_run_and_a_bad_line_is_named(tmp_path, capsys)
     # the aperture's square overflowed, and every gain read 0.0
     ("simulate", "experiment = gain_vs_q\nsweep = 2\nn_trials = 20\ncarrier_ghz = 1e-300\n"
                  "schemes = geometric\n", 2),
+    # an r_max just below where its square overflows: extended trains and runs
+    ("simulate", "experiment = gain_vs_q\nsweep = 2\nn_trials = 20\nr_max = 1.3e154\n"
+                 "schemes = extended\nn_train = 1000\n", 0),
 ], ids=["allocate_far", "gain_vs_rmax_far", "hyperbolic_overflow", "uniform_far",
-        "carrier_overflow"])
+        "carrier_overflow", "extended_far"])
 def test_overflowing_geometry_is_rejected_or_gives_true_gains(tmp_path, command, lines, code):
     out = tmp_path / "rows.csv"
     text = "num_antennas = 33\np = 3\nq = 2\n" + lines
@@ -527,6 +530,16 @@ _TINY = "num_antennas = 65\np = 4\nn_trials = 4\nn_mc = 4\nschemes = geometric\n
     ("simulate", "b2 = 40\n", "RVQ codebook"),
     ("simulate", "experiment = multipath_gain_vs_q\nk_users = 1\nl_paths = 2\nb2 = 24\n"
                  "sweep = 2\n", "path-gain codebook"),
+    # theory drew its range cell from [r_min, r_max / 2]: "high - low < 0"
+    ("theory", "r_min = 4\nr_max = 7\n", "r_max >= 2 r_min"),
+    # the extended scheme's Lloyd tolerance / r_max**2 raised an OverflowError
+    ("simulate", "experiment = gain_vs_q\nschemes = extended\nsweep = 2\nr_max = 1e160\n",
+     "r_max^2"),
+    ("simulate", "experiment = multipath_gain_vs_q\nk_users = 1\nl_paths = 2\nb2 = 4\n"
+                 "schemes = extended\nsweep = 2\nr_max = 1e160\n", "r_max^2"),
+    ("simulate", "experiment = gain_vs_rmax\nschemes = extended\nsweep = 120,1e160\n",
+     "r_max^2"),
+    ("codebook", "scheme = extended\nr_max = 1e160\n", "r_max^2"),
 ])
 def test_cli_limits_are_config_errors(tmp_path, monkeypatch, capsys, command, lines, message):
     # each of these ended in a ValueError traceback (exit 1)
@@ -550,6 +563,7 @@ def test_cli_limits_are_config_errors(tmp_path, monkeypatch, capsys, command, li
     ("simulate", "b1 = 30\n"),
     ("simulate", "experiment = gain_vs_q\nschemes = geometric\nb2 = 23\n"),
     ("simulate", "experiment = gain_vs_q\nschemes = geometric\nscheme = nope\n"),
+    ("simulate", "r_min = 4\nr_max = 7\n"),                # theory's cell rule
 ])
 def test_cli_checks_only_what_the_command_builds(tmp_path, command, lines):
     # each exited 2 on a rule of a key or codebook its command never reads or builds

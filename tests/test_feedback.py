@@ -279,6 +279,28 @@ def test_scan_gives_every_worker_jobs_in_every_pass(cfg129, region, monkeypatch,
     assert np.abs(runs[0][0] - ref_gain).max() <= 1e-12
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_scan_at_a_small_block_maps_pass_b_in_runs_of_chunks(cfg129, region, monkeypatch,
+                                                             recorded_pools, recorded_maps,
+                                                             cpus):
+    # at block 4 a chunk builds 2 codewords, and pass B mapped one job per
+    # chunk: 100 jobs at 400 angles, 750 at 3000.  Now a job takes a run of
+    # chunks, about two jobs per worker, of at most _BUILD_STEP = 128 built
+    # codewords: 4 or 6 jobs at 400 angles, 12 of 64 chunks at 3000
+    assert feedback._BUILD_STEP == 128
+    monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda: cpus)
+    vecs = _scan_vectors(cfg129, region, 2)
+    for count, jobs in ((400, 2 * cpus), (3000, 12)):
+        angles = np.linspace(-0.5, 0.5, count)
+        recorded_maps.clear()
+        gain, idx = best_codeword_scan(cfg129, vecs, angles, np.array([30.0]), block=4)
+        assert recorded_maps[-2] == jobs                # pass B, before the rescoring steps
+        ref_gain, ref_idx = _scan_per_ring(cfg129, vecs, angles, np.array([30.0]))
+        assert np.array_equal(idx, ref_idx)
+        assert np.abs(gain - ref_gain).max() <= 1e-12
+    assert recorded_pools == [cpus, cpus]
+
+
 def test_scan_tie_across_chunks_of_two_workers(cfg129, monkeypatch, recorded_pools):
     # one grid point at flat 1023 and 1024, the last of chunk 0 and the first
     # of chunk 1, which two workers score: the lower index wins

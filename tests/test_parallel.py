@@ -1,6 +1,7 @@
 import functools
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -47,6 +48,33 @@ def test_pool_leaves_blas_on_one_thread(monkeypatch, blas_count, workers):
             seen = set(pmap(lambda _: blas_count(), range(4 * workers)))
         assert seen == {1}
         assert blas_count() == 1
+
+
+def test_openblas_handle_is_numpys_before_and_after_scipy_loads_its_own():
+    # a numpy built on OpenBLAS must have its thread control found, or every
+    # needs_openblas test would skip; once scipy.linalg maps its own OpenBLAS
+    # the functions must still be numpy's, as a second numpy extension finds them
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built on OpenBLAS")
+    assert BLAS is not None
+    code = (
+        "import ctypes, sys, numpy\n"
+        "from polarcb import parallel\n"
+        "addresses = lambda fns: [ctypes.cast(f, ctypes.c_void_p).value for f in fns]\n"
+        "before = addresses(parallel._openblas())\n"
+        "assert 'scipy' not in sys.modules\n"
+        "import scipy.linalg\n"
+        "parallel._openblas.cache_clear()\n"
+        "core = getattr(numpy, '_core', None) or numpy.core\n"
+        "lib = ctypes.CDLL(core._multiarray_umath.__file__)\n"
+        "names = next(pair for pair in parallel._THREAD_SYMBOLS if hasattr(lib, pair[0]))\n"
+        "assert before == addresses(parallel._openblas()) == "
+        "addresses(getattr(lib, name) for name in names)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parallel.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_pool_at_one_blas_thread_never_sets_the_count(monkeypatch, two_cpus):
