@@ -150,7 +150,10 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str | Path, command: str = "simulate", **overrides) -> ExperimentConfig:
-    raw = parse_config_text(Path(path).read_text())
+    try:
+        raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     raw.update({k: v for k, v in overrides.items() if v is not None})
     cfg = ExperimentConfig(**raw)
     validate_config(cfg, command)
@@ -172,6 +175,8 @@ def validate_config(c: ExperimentConfig, command: str = "simulate") -> None:
                       "per available CPU", FutureWarning)
     if c.seed < 0:
         raise ConfigError("seed must be >= 0")
+    if command == "codebook" and c.out and Path(c.out).name in ("", ".."):
+        raise ConfigError(f"codebook's out must end in a file name; got {c.out!r}")
     if c.k_users < 1 or c.l_paths < 1:
         raise ConfigError("k_users and l_paths must be >= 1")
     bad = [key for key in _FLOAT_KEYS if not math.isfinite(getattr(c, key))]

@@ -14,8 +14,7 @@ import numpy as np
 from .array_model import ArrayConfig, _phase_diff_exact, antenna_offsets, steering_matrix_exact
 from .channels import ChannelArrays, ChannelRealization, channel_vectors
 from .codebooks import PolarCodebook, grid_locations
-from . import parallel
-from .parallel import _one_blas_thread, run_steps, thread_map
+from .parallel import _one_blas_thread, run_steps, runs, thread_map
 
 
 class ZFSingularError(RuntimeError):
@@ -410,59 +409,55 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     codewords where the angles are paired.  The sets of paired clusters
     come first, so a chunk's mirrored codewords are a prefix of it.
 
-    Pass A (only when G > 1) scores each set's representative, and its
-    mirror if it has one, once; a job takes the sets of a run of whole
-    chunks, at most G of them, and about two jobs per worker (as
-    `parallel.run_steps` splits its steps).  It keeps
-    each row's best bulk score `top` and, per row and chunk, the largest
-    score + ||v|| sqrt(M) rho over the chunk's sets and over both signs,
-    rounded upward to float32; its jobs return both per row block and the
-    main thread merges them.  In pass B a row meets a chunk only if that
+    Pass A (only when G > 1) scores each set's representative, and its mirror
+    if it has one, once; a job takes the sets of a run of at most G whole
+    chunks.  It keeps each row's best bulk score `top` and, per row and chunk,
+    the largest score + ||v|| sqrt(M) rho over the chunk's sets and over both
+    signs, rounded upward to float32; its jobs return both per row block and
+    the main thread merges them.  In pass B a row meets a chunk only if that
     bound reaches top - 2E; a row that does not cannot reach its float64
     maximum in the chunk.  The chunk builds its codewords only if some row
     meets it.  Where G >= 4 it then checks those rows at a second level: the
     runs of G / 2 lead angles (`_angle_clusters` again) nest in the clusters,
-    each with its middle member and a radius rho' of its own; the chunk
-    gathers those members from its built codewords and scores them, and
-    their mirrors, against the rows that met it, and a row goes on only if
-    some score + ||v|| sqrt(M) rho' reaches top - 2E.  It scores the chunk's
-    codewords and their mirrors against the rows that go on, and keeps, per
-    row, each score within 2E of the best of the chunk's and the row's
-    best bulk score merged so far (`top` and the chunks already in); only
-    rows whose chunk maximum is among those are searched for them.  The
-    main thread takes the chunks in order and drops, as each arrives, its
-    codewords more than 2E below the row's best bulk score so far, and once
-    every chunk is in, those more than 2E below the final best.  A pass-B job
-    takes a run of consecutive chunks of at most `_BUILD_STEP` built
-    codewords in all, or one chunk that builds more (as at the default
-    `block`), about two jobs per worker.  A codeword
-    whose float64 gain equals the row's maximum scores within E of it, and
-    no bulk score exceeds it by more than E, so all of them survive.  With
-    G = 1 there is no pass A, every row meets every chunk, and the chunks
-    run through the folded grid in flat order.
+    each with its middle member and a radius rho' of its own; the chunk gathers
+    those members from its built codewords and scores them, and their mirrors,
+    against the rows that met it, and a row goes on only if some score + ||v||
+    sqrt(M) rho' reaches top - 2E.  It scores the chunk's codewords and their
+    mirrors against the rows that go on, and keeps, per row, each score within
+    2E of the best of the chunk's and the row's best bulk score merged so far
+    (`top` and the chunks already in); only rows whose chunk maximum is among
+    those are searched for them.  The main thread takes the chunks in order and
+    drops, as each arrives, its codewords more than 2E below the row's best
+    bulk score so far, and once every chunk is in, those more than 2E below the
+    final best.  A pass-B job takes a run of consecutive chunks of at most
+    `_BUILD_STEP` built codewords in all, or one chunk that builds more (as at
+    the default `block`).  A codeword whose float64 gain equals the row's
+    maximum scores within E of it, and no bulk score exceeds it by more than E,
+    so all of them survive.  With G = 1 there is no pass A, every bound is
+    +inf, every row meets every chunk, and the chunks run through the folded
+    grid in flat order.
 
     Pass C rescores the surviving (row, codeword) pairs in float64, in flat
-    order, in steps of at most min(block, _RESCORE_PAIRS) pairs, at least two
-    per worker where there are that many pairs, and keeps per row the
-    largest gain, the lowest flat index among equal gains.
+    order, in steps of at most min(block, _RESCORE_PAIRS) pairs, and keeps
+    per row the largest gain, the lowest flat index among equal gains.
     Which pairs survive may vary with BLAS's summation order and with the
     order the chunks finish in, but neither the gain of a pair nor the set
     of pairs reaching the maximum, so results depend neither on the number
     of CPUs nor on BLAS's thread count.
 
-    Every pass, and the rows' set-up before them (a map that scales, folds
-    and casts the rows `_ROW_BLOCK` at a time, with their E), runs on the
-    process's thread pool, one thread per available CPU (numpy's ufuncs and
-    BLAS release the GIL).  `block` bounds a job, not the number of jobs: a
-    job builds at most step codewords at a time (a chunk, or the representatives
-    of G chunks), so at most step per worker are in flight, and scores them
-    `_ROW_BLOCK` rows at a time, so its working memory is fixed: the chunk
-    (8 M bytes per codeword), the tile of its half-cluster representatives
-    (8 M bytes each, 2 step / G of them) and 40 bytes per codeword and row
-    of one row block (S, A, S - A and both moduli), in its thread's tile set
-    (`_Tiles`).  Growing with n are a folded complex64 copy of the rows (8 M
-    bytes per row), a few float64 per row, the pass-A bound (4 bytes per row
-    and chunk) and the survivors (24 bytes each).
+    Every pass, and the rows' set-up before them (a map that scales, folds and
+    casts the rows `_ROW_BLOCK` at a time, with their E), runs on the process's
+    thread pool, one thread per available CPU (numpy's ufuncs and BLAS release
+    the GIL), as jobs that `parallel.runs` cuts within the caps above.  `block`
+    bounds a job, not the number of jobs: a job builds at most step codewords
+    at a time (a chunk, or the representatives of G chunks), so at most step
+    per worker are in flight, and scores them `_ROW_BLOCK` rows at a time, so
+    its working memory is fixed: the chunk (8 M bytes per codeword), the tile
+    of its half-cluster representatives (8 M bytes each, 2 step / G of them)
+    and 40 bytes per codeword and row of one row block (S, A, S - A and both
+    moduli), in its thread's tile set (`_Tiles`).  Growing with n are a folded
+    complex64 copy of the rows (8 M bytes per row), a few float64 per row, the
+    bound (4 bytes per row and chunk) and the survivors (24 bytes each).
     """
     vectors = np.atleast_2d(vectors)
     n, m = vectors.shape
@@ -484,9 +479,6 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     n_sets = len(rep) * nq
     n_chunks = -(-n_sets // per)
     paired_sets = -(-len(mirror) // group) * nq        # the sets of paired clusters
-    share = -(-n_chunks // (2 * parallel.available_cpus()))  # chunks per job at two per worker
-    run = max(1, min(group, share))                          # pass-A chunks per job
-    run_b = max(1, min(_BUILD_STEP // step, share))          # pass-B chunks per job
     rows32 = np.empty((n, m), np.complex64)
     margin, reach = np.empty(n), np.empty(n)
 
@@ -497,12 +489,12 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         reach[rows] = np.linalg.norm(scaled, axis=1) * np.sqrt(cfg.num_antennas)
         margin[rows] = 2.0 * (reach[rows] * rel)        # `_bulk_error_bound`, doubled
 
-    def pass_a(k):
-        """The representatives of chunks k..k+run-1, per row block: the rows, their
+    def pass_a(chunks):
+        """The representatives of the run `chunks`, per row block: the rows, their
         best bulk scores and their bounds for those chunks."""
         tiles = tile_sets[threading.get_ident()]
-        cluster, ring = np.divmod(np.arange(k * per, min((k + run) * per, n_sets)), nq)
-        mirrored = min(max(paired_sets - k * per, 0), len(ring))
+        cluster, ring = np.divmod(np.arange(chunks.start * per, min(chunks.stop * per, n_sets)), nq)
+        mirrored = min(max(paired_sets - chunks.start * per, 0), len(ring))
         cw = _bulk_fold_codewords(cfg, lead_angles[rep[cluster]], range_samples[ring], tiles)
         found = []
         for rows in blocks:
@@ -513,7 +505,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
             s += reach[rows, None] * radius[cluster]
             bounds = np.maximum.reduceat(s, np.arange(0, len(ring), per), axis=1)
             found.append((rows, s_top, _ceil32(bounds).T))
-        return k, found
+        return chunks.start, found
 
     def sub_check(rows, cw, angle, mirrored, tiles):
         """The rows that meet chunk `cw` at level 2: some half-cluster's representative
@@ -537,7 +529,7 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
     def score(k):
         "Chunk k against the rows that meet it: their best bulk scores and survivors."
         tiles = tile_sets[threading.get_ident()]
-        rows = np.flatnonzero(bound[k] >= floor) if group > 1 else everyone
+        rows = np.flatnonzero(bound[k] >= floor)
         if not len(rows):
             return rows, np.empty(0), rows, rows, np.empty(0)
         cluster, ring = np.divmod(np.arange(k * per, min((k + 1) * per, n_sets)), nq)
@@ -578,20 +570,18 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         if len(live) < n:
             rows32, margin, reach = rows32[live], margin[live], reach[live]
         blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(live), _ROW_BLOCK)]
-        everyone = np.arange(len(live))
         top = np.full(len(live), -np.inf)
-        bound = np.full((n_chunks, len(live)) if group > 1 else (0, 0), -np.inf, np.float32)
+        bound = np.full((n_chunks, len(live)), np.inf, np.float32)   # lowered by pass A, if any
         if group > 1:
-            for k, found in pmap(pass_a, range(0, n_chunks, run)):
+            for k, found in pmap(pass_a, runs(n_chunks, group)):
                 for rows, s_top, b in found:
                     np.maximum(top[rows], s_top, out=top[rows])
                     bound[k:k + len(b), rows] = b
         floor = top - margin
         final = top.copy()
-        parts = [(everyone[:0], everyone[:0], np.empty(0))]
-        runs_b = pmap(lambda k: [score(j) for j in range(k, min(k + run_b, n_chunks))],
-                      range(0, n_chunks, run_b))
-        for rows, chunk_top, row, flat, s in itertools.chain.from_iterable(runs_b):
+        parts = [(live[:0], live[:0], np.empty(0))]
+        scored = pmap(lambda chunks: list(map(score, chunks)), runs(n_chunks, _BUILD_STEP // step))
+        for rows, chunk_top, row, flat, s in itertools.chain.from_iterable(scored):
             final[rows] = np.maximum(final[rows], chunk_top)
             kept = s >= (final - margin)[row]
             parts.append((row[kept], flat[kept], s[kept]))
@@ -600,10 +590,9 @@ def best_codeword_scan(cfg: ArrayConfig, vectors: np.ndarray, angle_samples: np.
         keep = scores >= (final - margin)[rows]
         order = np.lexsort((rows[keep], flats[keep]))
         rows, flats = live[rows[keep][order]], flats[keep][order]
-        pairs = min(block, _RESCORE_PAIRS, max(1, len(rows) // (2 * parallel.available_cpus())))
-        rescored = list(pmap(lambda i: _rescore(
-            cfg, vectors, angle_samples, range_samples, rows[i:i + pairs], flats[i:i + pairs],
-            tile_sets[threading.get_ident()]), range(0, len(rows), pairs)))
+        rescored = list(pmap(lambda run: _rescore(
+            cfg, vectors, angle_samples, range_samples, rows[run], flats[run],
+            tile_sets[threading.get_ident()]), runs(len(rows), min(block, _RESCORE_PAIRS))))
     gains = np.concatenate([np.empty(0), *rescored])
     pick = np.lexsort((flats, -gains, rows))
     first = np.ones(len(pick), dtype=bool)

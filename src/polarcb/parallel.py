@@ -2,9 +2,7 @@
 
 Threads pay off here because the work is numpy ufuncs and BLAS calls, which
 release the GIL.  Each caller fixes the boundaries its results depend on, so
-they never depend on the number of threads; only the grouping into jobs
-does: about two per worker where the work allows (`run_steps`, the scan's
-passes A and C), so that a worker the host slows leaves little to wait for.
+they never depend on the number of threads; only the jobs (`runs`) do.
 Every map runs on the process's one pool of `available_cpus()` threads.
 
 The pool owns the cores: every map on it, and every RVQ pick, sets numpy's
@@ -90,19 +88,26 @@ def thread_map():
         wait([job for jobs in maps for job in jobs if not job.cancel()])
 
 
+def runs(n: int, most: int) -> list[range]:
+    """range(n) cut into k runs of consecutive indices, lengths within one: the jobs of a map.
+
+    k = max(min(n, 2W), ceil(n / max(1, most))), W = `available_cpus()`: two runs
+    per worker, so that a worker the host slows leaves little to wait for, or
+    more where runs of at most `most` indices need them."""
+    k = max(min(n, 2 * available_cpus()), -(-n // max(1, most)))
+    return [range(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def run_steps(n: int, step: int, fn) -> None:
     """Call fn(rows) for each slice `rows` of `step` consecutive indices of range(n).
 
-    The steps run on the pool, a contiguous run of steps per job, about two
-    jobs per worker.  The slices depend on `step` alone, so what fn writes to
-    its slice's rows does not depend on the CPU count; exceptions propagate.
+    The steps run on the pool, a run of steps per job (`runs`).  The slices
+    depend on `step` alone, so what fn writes to its slice's rows does not
+    depend on the CPU count; exceptions propagate.
     """
-    starts = range(0, n, step)
-    run = max(1, -(-len(starts) // (2 * available_cpus())))
-
-    def job(first):
-        for lo in starts[first:first + run]:
-            fn(slice(lo, lo + step))
+    def job(run):
+        for i in run:
+            fn(slice(i * step, (i + 1) * step))
 
     with thread_map() as pmap:
-        list(pmap(job, range(0, len(starts), run)))
+        list(pmap(job, runs(-(-n // step), n)))    # most = n caps nothing

@@ -185,6 +185,28 @@ def test_cli_codebook_roundtrip(tmp_path):
     assert np.isinf(loaded.range_samples).sum() == 1
 
 
+@pytest.mark.parametrize("out", [".", "/", "..", "cb/.."])
+def test_cli_codebook_out_without_a_file_name_is_config_error(tmp_path, monkeypatch, capsys,
+                                                              out):
+    # '.' and '/' raised a ValueError traceback (exit 1) from Path.with_suffix;
+    # '..' exited 0 having written '...csv' and '...bin'
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "num_antennas = 65\np = 3\nq = 2\n")
+    assert main(["codebook", "--config", cfg, "--out", out]) == 2
+    assert "config error: codebook's out must end in a file name" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.txt"]
+
+
+@pytest.mark.parametrize("command", ["codebook", "simulate", "allocate", "theory"])
+def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    # read_text raised a UnicodeDecodeError traceback (exit 1)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"\xff\xfenum_antennas = 65\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{cfg} is not UTF-8 text" in err
+
+
 def test_cli_allocate(tmp_path):
     cfg = _write(tmp_path, "b1 = 4\nn_mc = 40\nnum_antennas = 33\nseed = 2\n")
     out = tmp_path / "alloc.csv"

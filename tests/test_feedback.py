@@ -263,7 +263,7 @@ def test_scan_gives_every_worker_jobs_in_every_pass(cfg129, region, monkeypatch,
     assert feedback._cluster_size(cfg129, cb.angle_samples[lead], len(mirror), SCAN_STEP) == 8
     vecs = _scan_vectors(cfg129, region, 3)
     runs = []
-    for cpus, pass_a in ((1, 2), (2, 4), (3, 4), (8, 8)):
+    for cpus, pass_a in ((1, 2), (2, 4), (3, 6), (8, 8)):
         monkeypatch.setattr(polarcb.parallel, "available_cpus", lambda cpus=cpus: cpus)
         recorded_maps.clear()
         runs.append(best_codeword_scan(cfg129, vecs, cb.angle_samples, cb.range_samples))

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import signal
 import subprocess
@@ -258,6 +259,21 @@ def test_pool_without_openblas_runs_unchanged(monkeypatch, two_cpus, recorded_po
     assert inside == [(x * x, before) for x in range(5)]
     assert recorded_pools == [2]
     assert (BLAS[0]() if BLAS else None) == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_runs_cut_range_into_runs_of_even_length(monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+    assert parallel.runs(0, 5) == []
+    for n in range(300):
+        for most in (1, 2, 3, 7, 64, 1000):
+            runs = parallel.runs(n, most)
+            assert [i for run in runs for i in run] == list(range(n))
+            assert all(run.step == 1 for run in runs)
+            assert len(runs) == max(min(n, 2 * cpus), math.ceil(n / most))
+            lengths = [len(run) for run in runs]
+            assert max(lengths, default=0) <= most
+            assert max(lengths, default=0) - min(lengths, default=0) <= 1
 
 
 def test_run_steps_covers_each_step_once(monkeypatch, recorded_pools):
